@@ -74,13 +74,15 @@ def stamp(seed: int, workers: int) -> dict:
 
 def peak_rss_mb() -> float:
     """Peak resident set of this process plus the largest waited-for
-    child (pool workers, set-up probes, the server)."""
+    child: a pool worker or set-up probe (sweep), the server (serve),
+    or — on search, which starts no children while measuring — the
+    largest set-up probe (imports plus the SOC build)."""
     own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     return (own + children) / 1024.0
 
 
-def end_to_end(rounds, setup_samples) -> dict:
+def end_to_end(rounds, setup_samples, rss_mb: float) -> dict:
     from perfbench.workloads import percentile
 
     def median(per_round) -> float:
@@ -93,7 +95,7 @@ def end_to_end(rounds, setup_samples) -> dict:
         "latency_p50_s": median(lambda r: percentile(r.latencies, 50)),
         "latency_p90_s": median(lambda r: percentile(r.latencies, 90)),
         "best_cost": median(lambda r: sum(r.costs) / len(r.costs)),
-        "peak_rss_mb": peak_rss_mb(),
+        "peak_rss_mb": rss_mb,
     }
 
 
@@ -195,6 +197,8 @@ def main(argv=None, configs=None, out=None) -> int:
         else:
             while time.perf_counter() < deadline and len(rounds) < MAX_ROUNDS:
                 rounds.append(workload.run_round())
+        # before the checks, which recompute answers in this process
+        rss_mb = peak_rss_mb()
         for measured in rounds:
             workload.check(measured)
     finally:
@@ -221,7 +225,7 @@ def main(argv=None, configs=None, out=None) -> int:
                         f"s (median of {len(setup_samples)})"))
     figures.append(("failed_ratio", fmt(len(failures) / attempted),
                     f"ratio ({len(failures)}/{attempted})"))
-    figures.append(("peak_rss_mb", fmt(peak_rss_mb()), "MB"))
+    figures.append(("peak_rss_mb", fmt(rss_mb), "MB"))
     figures.append(("rounds", len(rounds), "count"))
     render_table(f"{args.workload}: end-to-end figures", figures, out)
 
@@ -271,7 +275,7 @@ def main(argv=None, configs=None, out=None) -> int:
         # a layer the workload does not exercise reads zero
         values = {m["name"]: values.get(m["name"], 0) for m in metrics}
     else:
-        values = end_to_end(rounds, setup_samples)
+        values = end_to_end(rounds, setup_samples, rss_mb)
         metrics = spec["end_to_end"]
     result = {
         "correct": not failures,

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from perfbench import run
+from perfbench import tracer as tracing
 from perfbench.tracer import Tracer
 from perfbench.workloads import Search, Serve, Sweep
 
@@ -139,6 +140,24 @@ def test_an_injected_wrong_answer_is_counted_as_failed(
     assert not result["correct"]
     assert result["failed"] / result["attempted"] > 0
     assert "failed_ratio  0 " not in text
+
+
+def test_traced_orders_tried_matches_the_job_results(tmp_path):
+    """Every pack's order trials are counted, an evaluator's first
+    pack included (its statistics only exist after that pack)."""
+    workload = Sweep(3, tmp_path / "sweep", config=TINY["sweep"])
+    workload.setup()
+    workload.tracer = Tracer(tmp_path / "spool")
+    installed = tracing.install(workload.tracer)
+    try:
+        measured = workload.run_round()
+    finally:
+        tracing.uninstall(installed)
+    workload.tracer.collect_workers()
+    cold, _ = measured.raw
+    expected = sum(r.pack_stats.get("orders_tried", 0) for r in cold.results)
+    assert expected > 0
+    assert workload.tracer.summary().counters["tam.orders_tried"] == expected
 
 
 def test_where_the_time_went_sums_to_the_wall_time():

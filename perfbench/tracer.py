@@ -316,15 +316,20 @@ def _evaluate_batch(tracer: Tracer, fn, name: str):
 
 def _schedule(tracer: Tracer, fn, name: str):
     """``ScheduleEvaluator.schedule``: a call that packed is a
-    ``tam.pack`` span, a cache hit a ``tam.lookup`` span."""
+    ``tam.pack`` span, a cache hit a ``tam.lookup`` span.  The pack
+    statistics only exist after an evaluator's first pack, so they are
+    read again after the call (an absent one counts as 0 orders)."""
     lookup = tracer.code_of("tam.lookup")
     pack = tracer.code_of(name)
+
+    def orders_tried(evaluator) -> int:
+        stats = evaluator.pack_stats
+        return stats.orders_tried if stats is not None else 0
 
     @functools.wraps(fn)
     def traced(self, partition):
         before = self.evaluations
-        stats = self.pack_stats
-        orders = stats.orders_tried if stats is not None else 0
+        orders = orders_tried(self)
         index = tracer.begin(lookup)
         try:
             return fn(self, partition)
@@ -332,10 +337,9 @@ def _schedule(tracer: Tracer, fn, name: str):
             tracer.end(index)
             if self.evaluations != before:
                 tracer.code[index] = pack
-                if stats is not None:
-                    tracer.counters["tam.orders_tried"] += (
-                        stats.orders_tried - orders
-                    )
+                tracer.counters["tam.orders_tried"] += (
+                    orders_tried(self) - orders
+                )
 
     return traced
 

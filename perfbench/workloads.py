@@ -391,17 +391,20 @@ class Serve(Workload):
     class Config:
         #: submissions per second, sent on a fixed schedule
         rate: float = 4.0
-        #: light jobs (about 5-60 ms each; optimize jobs get `budget`
+        #: light jobs (about 5-150 ms each; optimize jobs get `budget`
         #: evaluations), so the single executor stays well below
         #: saturation: near saturation, queueing turns a slow spell of
         #: the machine into a much larger latency swing
-        sweep_presets: tuple = (("d695m", (16, 24, 32, 40, 48, 56)),
-                                ("g1023m", (16, 24, 32, 40, 48, 56)))
+        #: most jobs are random scenarios, whose costs spread evenly,
+        #: so p50 and p90 fall inside that spread.  With more preset
+        #: jobs p50 fell between the presets' clusters of job times and
+        #: moved 24% between two runs of one seed
+        sweep_presets: tuple = (("d695m", (16, 24, 32, 40, 48, 56)),)
         sweep_wts: tuple = (0.3, 0.7)
         optimize_presets: tuple = ("d695m", "big8m", "big12m")
         optimize_strategies: tuple = ("anneal", "greedy", "tabu")
-        optimize_seeds: tuple = (0, 1, 2)
-        scenarios: int = 39
+        optimize_seeds: tuple = (0,)
+        scenarios: int = 69
         duplicates: int = 10
         budget: int = 100
 

@@ -621,9 +621,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pserve.add_argument(
         "--workers", type=int, default=1,
-        help=">= 2 dispatches sweep jobs onto a supervised worker "
-             "pool (crash isolation); 1 runs them in-process "
-             "(default: 1)",
+        help=">= 2 runs sweep jobs in a supervised worker pool, "
+             "which buys crash isolation and --timeout, not "
+             "concurrency: the executor runs one job at a time; 1 "
+             "runs them in-process (default: 1)",
     )
     pserve.add_argument(
         "--start-method", choices=("fork", "spawn", "forkserver"),
@@ -1764,9 +1765,9 @@ def _run_serve(args: argparse.Namespace) -> str:
         obs.configure(args.server_dir)
     pool = None
     if args.workers >= 2:
-        from .runner.pool import WorkerPool
+        from .supervise import SupervisedPool
 
-        pool = WorkerPool(args.workers, args.start_method)
+        pool = SupervisedPool(args.workers, args.start_method)
     server = ReproServer(
         args.server_dir,
         host=args.host,

@@ -202,10 +202,11 @@ class ScheduleEvaluator:
         constructor), the partition-invariant lower bound, the shared
         :class:`~repro.tam.packing.PackContext`, and the all-sharing
         schedule (every cost normalization needs its makespan).  The
-        parallel runtimes (:mod:`repro.search.parallel`,
-        :mod:`repro.runner.pool`) call this from their worker
-        initializers so the fork-once workers pay these costs exactly
-        once, before the first real evaluation arrives.
+        portfolio (:mod:`repro.search.parallel`) calls this whenever
+        it builds a model: in each pool worker on its first task or at
+        :meth:`~repro.search.parallel.PortfolioPool.warm`, so a
+        persistent worker pays these costs once, before its first real
+        evaluation.
         """
         with obs.span("evaluator.warm", width=self.width):
             _ = self.invariant_time_bound

@@ -8,8 +8,10 @@ Turns the one-SOC, one-width experiment drivers into a grid engine:
   wrapper Pareto staircases and whole job results;
 * :mod:`repro.runner.engine` — :func:`run_sweep` multiprocessing
   fan-out with JSON-lines streaming and summary tables;
-* :mod:`repro.runner.pool` — :class:`WorkerPool`, the persistent warm
-  worker pool repeated sweeps share (explicit fork/spawn choice).
+* :mod:`repro.runner.pool` — ``WorkerPool``, the runner's name for
+  :class:`repro.supervise.SupervisedPool`, the one worker pool; pass a
+  persistent one to :func:`run_sweep` so repeated sweeps keep their
+  workers' SOC, staircase and cache-entry memos warm.
 
 The grid has a strategy axis: jobs with a ``strategy`` name run a
 budgeted anytime search (:mod:`repro.search`) instead of the paper

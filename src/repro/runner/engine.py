@@ -1,7 +1,8 @@
 """Parallel, cached batch evaluation of test-planning jobs.
 
 :func:`run_sweep` fans a grid of :class:`~repro.runner.jobs.SweepJob`
-entries across ``multiprocessing`` workers.  Each worker:
+entries across the workers of one
+:class:`~repro.supervise.SupervisedPool`.  Each worker:
 
 1. builds its SOC from the workload registry (pure function of the
    job, so workers need no shared state);
@@ -28,10 +29,9 @@ flight and every line on disk is a complete record.  The aggregate
 Process warmth: SOC construction and disk-cache entries are memoized
 per process (:func:`_build_soc`, :class:`~repro.runner.cache.MemoCache`),
 so the hot state survives from job to job — and, with a persistent
-:class:`~repro.runner.pool.WorkerPool` passed to :func:`run_sweep`,
-from sweep to sweep.  ``workers=1`` never spawns a pool: the whole
-sweep runs in-process, which is both the debuggable path and the fast
-one for smoke-sized grids.
+pool passed to :func:`run_sweep`, from sweep to sweep.  ``workers=1``
+never builds a pool: the whole sweep runs in-process, which is both
+the debuggable path and the fast one for smoke-sized grids.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
 from .. import faults, obs, workloads
-from ..supervise import PoolBroken
+from ..supervise import PoolBroken, SupervisedPool
 from ..core.area import AreaModel
 from ..core.cost import CostModel, CostWeights, ScheduleEvaluator
 from ..core.exhaustive import exhaustive_search
@@ -64,7 +64,6 @@ from ..soc.model import DigitalCore, Soc
 from ..wrapper.pareto import ParetoCache, ParetoPoint, pareto_points
 from .cache import DiskCache, MemoCache, content_key
 from .jobs import JobResult, SweepJob
-from .pool import WorkerPool
 
 __all__ = ["SweepResult", "run_sweep", "evaluate_job", "trace_path"]
 
@@ -548,7 +547,7 @@ def run_sweep(
     progress: Callable[[JobResult], None] | None = None,
     trace_dir: str | None = None,
     start_method: str | None = None,
-    pool: WorkerPool | None = None,
+    pool: SupervisedPool | None = None,
     timeout_s: float | None = None,
     max_retries: int = 2,
     resume_from: str | None = None,
@@ -574,13 +573,14 @@ def run_sweep(
         trace either way).
     :param start_method: explicit ``multiprocessing`` start method for
         a pool created by this call (default:
-        :func:`repro.runner.pool.default_start_method` — never the
+        :func:`repro.supervise.default_start_method` — never the
         implicit platform default).  Ignored with *pool* or
         ``workers=1``.
-    :param pool: a persistent :class:`~repro.runner.pool.WorkerPool`
-        to reuse — repeated sweeps then keep their workers (and the
-        workers' SOC/staircase/disk-entry memos) warm.  Overrides
-        *workers*; the pool stays open for the caller to close.
+    :param pool: a persistent :class:`~repro.supervise.SupervisedPool`
+        (``repro.runner.WorkerPool``) to reuse — repeated sweeps then
+        keep their workers (and the workers' SOC/staircase/disk-entry
+        memos) warm.  Overrides *workers*; the pool stays open for the
+        caller to close.
     :param timeout_s: per-job wall timeout on the pool path — a worker
         past it is killed and replaced, the job requeued (``None``
         disables; ignored inline, where nothing can kill a hung job).
@@ -628,12 +628,12 @@ def run_sweep(
 
         retry_counts: dict[int, int] = {}
 
-        def dispatch(active: WorkerPool) -> None:
+        def dispatch(active: SupervisedPool) -> None:
             def tally(index: int, reason: str) -> None:
                 retry_counts[index] = retry_counts.get(index, 0) + 1
 
-            for index, ok, value in active.run_supervised(
-                _worker, work,
+            for index, ok, value in active.run_tasks(
+                [(_worker, (item,)) for item in work],
                 timeout_s=timeout_s, max_retries=max_retries,
                 on_retry=tally,
             ):
@@ -657,7 +657,7 @@ def run_sweep(
                 elif pool is not None:
                     dispatch(pool)
                 else:
-                    with WorkerPool(workers, start_method) as transient:
+                    with SupervisedPool(workers, start_method) as transient:
                         dispatch(transient)
             except (PoolBroken, OSError) as exc:
                 # graceful degradation: a pool that cannot spawn or

@@ -1,159 +1,9 @@
-"""Persistent, warm, *supervised* worker pools for the batch engine.
+"""``WorkerPool``: the sweep engine's name for the one worker pool.
 
-PR 1's sweep engine built a fresh ``multiprocessing.Pool`` inside
-every :func:`~repro.runner.engine.run_sweep` call: each sweep paid
-worker spawn, interpreter warm-up (under ``spawn``: every import
-again), and a cold per-process state for SOC construction and
-staircases.  A :class:`WorkerPool` is the long-lived alternative — one
-set of fork-once workers serving any number of sweeps::
-
-    from repro.runner import WorkerPool, expand_grid, run_sweep
-
-    with WorkerPool(workers=4) as pool:
-        for wt in (0.3, 0.5, 0.7):
-            jobs = expand_grid(["p93791m"], [16, 24, 32], wts=(wt,))
-            run_sweep(jobs, pool=pool, cache_dir=".repro_cache")
-
-The workers run an initializer that pre-imports the heavy evaluation
-stack (free under ``fork``, a real saving under ``spawn``); per-job
-state — SOCs, Pareto staircases, disk-cache entries — warms up in the
-process-local read-through memos of :mod:`repro.runner.engine` and
-:mod:`repro.runner.cache`, which is exactly what makes *persistent*
-workers pay off: the memos survive from sweep to sweep.
-
-Since PR 8 the pool rides on :class:`repro.supervise.SupervisedPool`:
-a crashed worker is detected and replaced with its job requeued, a
-hung job is killed at its wall timeout, and a job that keeps failing
-is quarantined instead of sinking the sweep (see
-:meth:`WorkerPool.run_supervised`).
-
-The start method is always explicit (:func:`default_start_method` —
-``fork`` where available, ``spawn`` otherwise), never the silent
-platform default.
+It is :class:`repro.supervise.SupervisedPool` itself, kept under the
+documented ``from repro.runner import WorkerPool`` import.
 """
 
-from __future__ import annotations
-
-from .. import obs
-from ..supervise import SupervisedPool, default_start_method
+from ..supervise import SupervisedPool as WorkerPool, default_start_method
 
 __all__ = ["WorkerPool", "default_start_method"]
-
-
-def _warm_worker() -> None:
-    """Default initializer: pre-import the evaluation stack.
-
-    Under ``fork`` the modules are inherited and this is a no-op;
-    under ``spawn`` it front-loads the import cost into pool creation
-    instead of the first job of every worker.
-    """
-    from .. import search, workloads  # noqa: F401
-    from ..tam import packing  # noqa: F401
-    from . import engine  # noqa: F401
-
-
-class WorkerPool:
-    """A persistent pool of warm, supervised workers.
-
-    :param workers: worker process count (>= 2 — a one-worker "pool"
-        is strictly worse than the engine's inline path; ask
-        :func:`~repro.runner.engine.run_sweep` for ``workers=1``
-        instead).
-    :param start_method: explicit start method (``"fork"`` /
-        ``"spawn"`` / ``"forkserver"``); default
-        :func:`default_start_method`.  ``spawn`` workers re-import
-        from scratch, so workloads or strategies registered only at
-        runtime are invisible to them — register at import time of a
-        module the workers also import, or use ``fork``.
-    :param initializer: per-worker warm-up hook (default: pre-import
-        the evaluation stack).
-    :param initargs: arguments for *initializer*.
-    :param supervise: keep the liveness/timeout sweeps on (default).
-        ``False`` is the benchmark's comparator for pricing
-        supervision overhead — crashes then sink the run again.
-    """
-
-    def __init__(
-        self,
-        workers: int,
-        start_method: str | None = None,
-        initializer=None,
-        initargs: tuple = (),
-        supervise: bool = True,
-    ):
-        if workers < 2:
-            raise ValueError(
-                f"WorkerPool needs workers >= 2, got {workers} "
-                f"(run_sweep(workers=1) runs inline, no pool)"
-            )
-        self.workers = workers
-        with obs.span(
-            "pool.spawn", workers=workers,
-            start_method=start_method or default_start_method(),
-        ):
-            # SupervisedPool validates the start method (same
-            # "not available" error this class used to raise)
-            self._pool = SupervisedPool(
-                workers,
-                start_method,
-                initializer=initializer or _warm_worker,
-                initargs=initargs,
-                supervise=supervise,
-            )
-        self.start_method = self._pool.start_method
-
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has run."""
-        return self._pool is None
-
-    def _live_pool(self) -> SupervisedPool:
-        if self._pool is None:
-            raise ValueError("WorkerPool is closed")
-        return self._pool
-
-    def run_supervised(self, fn, iterable, *, timeout_s=None,
-                       max_retries: int = 2, backoff_seed: int = 0,
-                       on_retry=None):
-        """Map *fn* over *iterable* under full supervision.
-
-        Yields ``(index, ok, value)`` in completion order: *index* is
-        the item's position in *iterable*, and on ``ok=False`` the
-        item was quarantined after ``max_retries`` — *value* carries
-        the final attempt's traceback instead of a result.
-
-        *on_retry* (``callback(index, reason)``, forwarded to
-        :meth:`repro.supervise.SupervisedPool.run_tasks`) fires on
-        each requeue — the hook callers use to surface per-job retry
-        tallies instead of digging through logs.
-        """
-        tasks = [(fn, (item,)) for item in iterable]
-        yield from self._live_pool().run_tasks(
-            tasks, timeout_s=timeout_s, max_retries=max_retries,
-            backoff_seed=backoff_seed, on_retry=on_retry,
-        )
-
-    def imap_unordered(self, fn, iterable, chunksize: int = 1):
-        """Map *fn* over *iterable*, yielding results as they finish.
-
-        A quarantined item raises ``RuntimeError`` with its traceback;
-        use :meth:`run_supervised` to receive failures as values.
-        """
-        del chunksize  # kept for API compatibility; dispatch is per-item
-        return self._live_pool().imap_unordered(fn, iterable)
-
-    def run_on_all(self, fn, args: tuple = ()) -> list:
-        """Run ``fn(*args)`` once on every worker (cache warm-up)."""
-        return self._live_pool().run_on_all(fn, args)
-
-    def close(self) -> None:
-        """Shut the workers down (idempotent)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

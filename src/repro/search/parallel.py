@@ -11,10 +11,10 @@ the sharing space, three ways:
   reference semantics the parallel modes are tested against) and free
   of any ``multiprocessing`` overhead.
 * ``workers>1``, lanes >= workers (**lane mode**) — each lane runs
-  inside a persistent, fork-once pool worker whose initializer warmed
-  the SOC, the digital Pareto staircases, the shared
-  :class:`~repro.tam.packing.PackContext`, and the all-sharing
-  normalizer schedule.
+  inside a persistent pool worker that built the SOC, the digital
+  Pareto staircases, the shared :class:`~repro.tam.packing.PackContext`,
+  and the all-sharing normalizer schedule once (at
+  :meth:`PortfolioPool.warm` or its first task) and keeps them warm.
 * ``workers>1``, lanes < workers (**eval mode**) — lanes step in the
   parent and fan each step's independent candidates (the
   :meth:`~repro.search.strategy.SearchStrategy.propose_batch` batch)
@@ -35,8 +35,10 @@ N oblivious ones:
   so the portfolio can never overrun its total budget no matter how
   the lanes interleave.
 
-Reuse a :class:`PortfolioPool` across calls to amortize worker warm-up
-over many portfolios (e.g. a width sweep)::
+The workers belong to a :class:`PortfolioPool`, the
+:class:`~repro.supervise.SupervisedPool` subclass that carries both
+shared cells.  Reuse one across calls to amortize worker warm-up over
+many portfolios (e.g. a width sweep)::
 
     from repro.search.parallel import PortfolioPool, portfolio_search
 
@@ -62,13 +64,18 @@ from ..core.area import AreaModel
 from ..core.cost import CostModel, CostWeights, ScheduleEvaluator
 from ..core.sharing import Partition, format_partition
 from ..soc.model import Soc
-from ..supervise import PoolBroken, SupervisedPool, default_start_method
+from ..supervise import (
+    PoolBroken,
+    SupervisedPool,
+    default_start_method,
+    pool_context,
+)
 from . import registry
 from .budget import Budget, BudgetExhausted, EvalLedger, SharedEvalLedger
 from .problem import SearchProblem
 from .strategy import (
-    STALL_LIMIT,
     SearchOutcome,
+    StallGuard,
     build_outcome,
     run_strategy,
 )
@@ -506,17 +513,17 @@ def _eval_task(
 # ---------------------------------------------------------------------------
 # pool
 
-class PortfolioPool:
+class PortfolioPool(SupervisedPool):
     """A persistent pool of warm portfolio workers.
 
-    Owns the worker processes *and* the cross-process shared state
-    (incumbent + ledger, created from the same explicit
-    ``multiprocessing`` context and inherited by the workers at fork
-    time — synchronization primitives cannot travel through the task
-    queue).  Reusable across :func:`portfolio_search` calls: the
-    shared state is reset per search and the workers keep their warm
-    models, so repeated portfolios on the same problem pay worker
-    warm-up once.
+    A :class:`~repro.supervise.SupervisedPool` that also owns the
+    cross-process shared state: the incumbent and the ledger, created
+    from the pool's ``multiprocessing`` context and handed to every
+    worker, respawned ones included, as initializer arguments —
+    synchronization primitives cannot travel through the task queue.
+    Reusable across :func:`portfolio_search` calls: the shared state
+    is reset per search and the workers keep their warm models, so
+    repeated portfolios on the same problem pay worker warm-up once.
 
     :param workers: worker process count (>= 2; use
         ``portfolio_search(workers=1)`` for the in-process mode).
@@ -529,35 +536,17 @@ class PortfolioPool:
             raise ValueError(
                 f"PortfolioPool needs workers >= 2, got {workers}"
             )
-        self.workers = workers
-        self.start_method = start_method or default_start_method()
-        if self.start_method not in \
-                multiprocessing.get_all_start_methods():
-            raise ValueError(
-                f"start method {self.start_method!r} not available "
-                f"here; pick from "
-                f"{multiprocessing.get_all_start_methods()}"
-            )
-        # the shared cells must come from the same context the workers
-        # are spawned from (get_context returns a per-method singleton,
-        # so SupervisedPool's internal context is this very object)
-        ctx = multiprocessing.get_context(self.start_method)
+        ctx = pool_context(start_method)
         self.incumbent = SharedIncumbent(ctx)
         self.ledger = SharedEvalLedger(None, ctx)
-        self._pool: SupervisedPool | None = SupervisedPool(
-            workers, self.start_method,
-            initializer=_init_worker,
+        super().__init__(
+            workers, start_method, initializer=_init_worker,
             initargs=(self.incumbent, self.ledger),
         )
 
-    def _live_pool(self) -> SupervisedPool:
-        if self._pool is None:
-            raise ValueError("PortfolioPool is closed")
-        return self._pool
-
     def reset(self, budget: int | None) -> None:
         """Clear the shared state for a fresh search."""
-        self._live_pool()
+        self._live()
         self.incumbent.reset()
         self.ledger.reset(budget)
 
@@ -572,9 +561,8 @@ class PortfolioPool:
         should time.  A failed worker build raises ``RuntimeError``
         carrying the worker-side traceback.
         """
-        pool = self._live_pool()
         with obs.span("pool.warm", workers=self.workers):
-            pool.run_on_all(_warm_task, (config_bytes,))
+            self.run_on_all(_warm_task, (config_bytes,))
 
     def run_lanes(
         self, config_bytes: bytes, lanes: Sequence[Lane], gate: bool,
@@ -596,7 +584,6 @@ class PortfolioPool:
         *max_retries* is quarantined — reported as an empty outcome
         (``budget="quarantined"``) instead of sinking the portfolio.
         """
-        pool = self._live_pool()
         slices = lane_slices(budget, len(lanes))
         deadline = (
             time.monotonic() + max_seconds
@@ -619,7 +606,7 @@ class PortfolioPool:
                       evaluations=refunded)
 
         results: list[SearchOutcome | None] = [None] * len(lanes)
-        for index, ok, value in pool.run_tasks(
+        for index, ok, value in self.run_tasks(
             tasks, timeout_s=timeout_s, max_retries=max_retries,
             on_retry=refund,
         ):
@@ -653,7 +640,6 @@ class PortfolioPool:
         bulk costing function fanning partitions across the workers."""
 
         def cost(partitions: Sequence[Partition]):
-            pool = self._live_pool()
             st = obs.state()
             if st is not None:
                 st.registry.counter("pool.batches").inc()
@@ -669,7 +655,7 @@ class PortfolioPool:
                 for stride in strides if stride
             ]
             results: list = [None] * len(partitions)
-            for index, ok, value in pool.run_tasks(tasks):
+            for index, ok, value in self.run_tasks(tasks):
                 if not ok:
                     raise RuntimeError(
                         f"batch evaluation failed after retries:\n"
@@ -682,18 +668,6 @@ class PortfolioPool:
 
         return cost
 
-    def close(self) -> None:
-        """Shut the workers down (idempotent)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def __enter__(self) -> "PortfolioPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
 
 # ---------------------------------------------------------------------------
 # drivers
@@ -705,16 +679,13 @@ class _LaneRun:
         self.lane = lane
         self.strategy = strategy
         self.problem = problem
-        self.steps = 0
-        self.stall_steps = 0
-        self.last_evaluated = 0
+        self.guard = StallGuard()
         self.done = False
-        self.stalled = False
 
     def outcome(self) -> SearchOutcome:
         return build_outcome(
-            self.strategy, self.problem, self.lane.seed, self.steps,
-            self.stalled, allow_empty=True,
+            self.strategy, self.problem, self.lane.seed, self.guard.steps,
+            self.guard.stalled, allow_empty=True,
         )
 
 
@@ -751,15 +722,8 @@ def _interleave_lanes(runs: list[_LaneRun], batched: bool,
                 except BudgetExhausted:
                     run.done = True
                     continue
-                run.steps += 1
-                if run.problem.n_evaluated == run.last_evaluated:
-                    run.stall_steps += 1
-                    if run.stall_steps >= STALL_LIMIT:
-                        run.stalled = True
-                        run.done = True
-                else:
-                    run.last_evaluated = run.problem.n_evaluated
-                    run.stall_steps = 0
+                if run.guard.step(run.problem.n_evaluated):
+                    run.done = True
             rounds += 1
             if on_round is not None:
                 on_round(rounds)
@@ -814,11 +778,9 @@ def _run_in_parent(
                 "incumbent": incumbent.get(),
                 "runs": [
                     {
-                        "steps": run.steps,
-                        "stall_steps": run.stall_steps,
-                        "last_evaluated": run.last_evaluated,
+                        **run.guard.snapshot(),
+                        "last_evaluated": run.guard.last_evaluated,
                         "done": run.done,
-                        "stalled": run.stalled,
                         "strategy": run.strategy.state_snapshot(),
                         "problem": run.problem.state_snapshot(),
                     }
@@ -835,11 +797,9 @@ def _run_in_parent(
             for run, kept in zip(runs, stored["runs"]):
                 run.problem.state_restore(kept["problem"])
                 run.strategy.state_restore(kept["strategy"])
-                run.steps = kept["steps"]
-                run.stall_steps = kept["stall_steps"]
-                run.last_evaluated = kept["last_evaluated"]
+                run.guard.restore(kept)
+                run.guard.last_evaluated = kept["last_evaluated"]
                 run.done = kept["done"]
-                run.stalled = kept["stalled"]
 
         def on_round(rounds: int) -> None:
             if rounds % checkpoint.every == 0:

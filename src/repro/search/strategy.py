@@ -36,6 +36,7 @@ __all__ = [
     "ProposeObserveStrategy",
     "SearchOutcome",
     "SearchStrategy",
+    "StallGuard",
     "build_outcome",
     "run_strategy",
 ]
@@ -44,6 +45,49 @@ __all__ = [
 #: run loop declares the strategy stalled (it is only re-proposing
 #: cached candidates) and stops spending wall clock.
 STALL_LIMIT = 250
+
+
+class StallGuard:
+    """A run loop's step count and stall guard.
+
+    :func:`run_strategy` and the portfolio's interleaved lanes
+    (:mod:`repro.search.parallel`) both count their steps here, so the
+    stall policy lives in one place.  The fields are the run's
+    checkpointed driver state.
+    """
+
+    __slots__ = ("steps", "stall_steps", "last_evaluated", "stalled")
+
+    def __init__(self):
+        self.steps = 0
+        self.stall_steps = 0
+        self.last_evaluated = 0
+        self.stalled = False
+
+    def step(self, n_evaluated: int) -> bool:
+        """Count one finished step that left the run at *n_evaluated*
+        paid evaluations; returns whether the run has now stalled —
+        :data:`STALL_LIMIT` consecutive steps without one."""
+        self.steps += 1
+        if n_evaluated == self.last_evaluated:
+            self.stall_steps += 1
+            if self.stall_steps >= STALL_LIMIT:
+                self.stalled = True
+        else:
+            self.last_evaluated = n_evaluated
+            self.stall_steps = 0
+        return self.stalled
+
+    def snapshot(self) -> dict:
+        """The checkpoint fields (``last_evaluated`` is the caller's)."""
+        return {"steps": self.steps, "stall_steps": self.stall_steps,
+                "stalled": self.stalled}
+
+    def restore(self, stored: dict) -> None:
+        """Adopt the fields :meth:`snapshot` wrote."""
+        self.steps = stored["steps"]
+        self.stall_steps = stored["stall_steps"]
+        self.stalled = stored["stalled"]
 
 
 class SearchStrategy(ABC):
@@ -319,41 +363,29 @@ def run_strategy(
     budget = problem.budget.start()
     rng = random.Random(seed)
     strategy.bind(problem, rng)
-    steps = 0
-    stalled = False
-    stall_steps = 0
+    guard = StallGuard()
     if checkpoint is not None:
         stored = checkpoint.load()
         if stored is not None:
             problem.state_restore(stored["problem"])
             strategy.state_restore(stored["strategy"])
-            steps = stored["steps"]
-            stall_steps = stored["stall_steps"]
-            stalled = stored["stalled"]
-    last_evaluated = problem.n_evaluated
+            guard.restore(stored)
+    guard.last_evaluated = problem.n_evaluated
 
     def save() -> None:
         checkpoint.save({
-            "steps": steps,
-            "stall_steps": stall_steps,
-            "stalled": stalled,
+            **guard.snapshot(),
             "strategy": strategy.state_snapshot(),
             "problem": problem.state_snapshot(),
         })
 
     try:
-        while not stalled and not budget.exhausted:
+        while not guard.stalled and not budget.exhausted:
             strategy.step()
-            steps += 1
-            if problem.n_evaluated == last_evaluated:
-                stall_steps += 1
-                if stall_steps >= STALL_LIMIT:
-                    stalled = True
-                    break
-            else:
-                last_evaluated = problem.n_evaluated
-                stall_steps = 0
-            if checkpoint is not None and steps % checkpoint.every == 0:
+            if guard.step(problem.n_evaluated):
+                break
+            if checkpoint is not None \
+                    and guard.steps % checkpoint.every == 0:
                 save()
     except BudgetExhausted:
         pass
@@ -361,7 +393,8 @@ def run_strategy(
         # final snapshot: resuming a finished run is a no-op replay
         save()
     return build_outcome(
-        strategy, problem, seed, steps, stalled, allow_empty=allow_empty
+        strategy, problem, seed, guard.steps, guard.stalled,
+        allow_empty=allow_empty,
     )
 
 

@@ -12,13 +12,15 @@ The queue owns the full job lifecycle behind the HTTP surface:
 * **Execution**: a single executor thread drains the FIFO.  One job at
   a time keeps replay deterministic (admission order = execution
   order) and the results byte-identical across crash/restart.  Sweep
-  jobs dispatch onto a supervised :class:`~repro.runner.pool.WorkerPool`
-  when one is configured — a crashing evaluation kills a *worker*, not
-  the server — and degrade to in-process execution on
-  :class:`~repro.supervise.PoolBroken` (the PR 8 ``pool.degraded``
-  path).  Optimize jobs run in-process under a
-  :class:`~repro.search.checkpoint.SearchCheckpoint`, so a killed
-  server resumes them from the last snapshot instead of restarting.
+  jobs dispatch onto a :class:`~repro.supervise.SupervisedPool` when
+  one is configured — a crashing evaluation kills a *worker*, not the
+  server, and a hung one is killed at its timeout — and degrade to
+  in-process execution on :class:`~repro.supervise.PoolBroken` (the
+  ``pool.degraded`` path).  The pool buys that isolation, not
+  concurrency: it still runs one job at a time.  Optimize jobs run
+  in-process under a :class:`~repro.search.checkpoint.SearchCheckpoint`,
+  so a killed server resumes them from the last snapshot instead of
+  restarting.
 * **Recovery** (:meth:`JobQueue.start`): the journal replays, finished
   jobs come back ``done`` (results are on disk), and everything that
   was queued or running is re-enqueued (``queue.requeued``) — each
@@ -100,12 +102,6 @@ class _JobRecord:
     attempts: int = 0
     error: str | None = None
     retries: int = 0
-
-
-def _sweep_pool_worker(args):
-    """Module-level so it pickles under the spawn start method."""
-    job, cache_dir, trace_dir = args
-    return evaluate_job(job, cache_dir=cache_dir, trace_dir=trace_dir)
 
 
 class JobQueue:
@@ -384,9 +380,8 @@ class JobQueue:
                 retries += 1
 
             try:
-                for _index, ok, value in self.pool.run_supervised(
-                    _sweep_pool_worker,
-                    [(job, self.cache_dir, trace_dir)],
+                for _index, ok, value in self.pool.run_tasks(
+                    [(evaluate_job, (job, self.cache_dir, trace_dir))],
                     timeout_s=self.timeout_s,
                     max_retries=self.max_retries,
                     on_retry=_tally,

@@ -1,11 +1,18 @@
-"""Supervised worker pools: liveness, timeouts, retry, quarantine.
+"""The one worker pool: supervised processes with liveness, timeouts,
+retry and quarantine.
 
-:class:`SupervisedPool` replaces the ``multiprocessing.Pool`` layer
-under :class:`repro.runner.WorkerPool` and
-:class:`repro.search.PortfolioPool` with raw ``Process`` workers the
-parent actually watches.  A stock ``Pool`` wedges the whole run when
-one worker segfaults mid-task and waits forever on a hung one; here
-the supervision loop
+:class:`SupervisedPool` is the only code that starts worker processes.
+The sweep engine (:func:`repro.runner.run_sweep`; the class is also
+exported there as ``repro.runner.WorkerPool``), ``repro serve``'s job
+queue, and the portfolio search (:class:`repro.search.PortfolioPool`,
+a subclass that adds the shared incumbent and ledger) all dispatch
+through one API: :meth:`SupervisedPool.run_tasks`, plus
+:meth:`SupervisedPool.run_on_all` for warm-up.
+
+Workers are raw ``Process`` objects the parent actually watches.  A
+stock ``multiprocessing.Pool`` wedges the whole run when one worker
+segfaults mid-task and waits forever on a hung one; here the
+supervision loop
 
 * detects a dead worker (``is_alive()`` sweep plus a final result
   drain, so a task whose worker died *after* replying is not re-run),
@@ -17,8 +24,9 @@ the supervision loop
 * quarantines a task that keeps failing after ``max_retries``
   (``job.quarantined``) — the caller receives the traceback instead of
   losing the run;
-* gives up with :exc:`PoolBroken` once respawns exceed a cap, so
-  callers can degrade to in-process execution instead of spinning.
+* gives up with :exc:`PoolBroken` once respawns within one
+  :meth:`~SupervisedPool.run_tasks` call exceed a cap, so callers can
+  degrade to in-process execution instead of spinning.
 
 Each worker owns a private task queue *and* a private result queue:
 terminating a hung worker can only ever corrupt its own channel, which
@@ -27,9 +35,7 @@ is discarded with it.  Workers are daemonic and compatible with both
 picklable; the worker main function is module-level).
 
 This module also owns :func:`default_start_method`, the single place
-the runner and search layers agree on a start method (it lived in
-``search.parallel``, which ``runner.pool`` had to reach into — a
-dependency cycle this neutral module breaks).
+the runner and search layers agree on a start method.
 """
 
 from __future__ import annotations
@@ -40,11 +46,12 @@ import queue as queue_mod
 import random
 import time
 import traceback
-from typing import Any, Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import faults, obs
 
-__all__ = ["PoolBroken", "SupervisedPool", "default_start_method"]
+__all__ = ["PoolBroken", "SupervisedPool", "default_start_method",
+           "pool_context"]
 
 #: seconds between supervision sweeps while no result is ready
 _POLL_S = 0.01
@@ -58,6 +65,21 @@ def default_start_method() -> str:
     else ``spawn`` (macOS default, Windows only option)."""
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else "spawn"
+
+
+def pool_context(start_method: str | None = None):
+    """The ``multiprocessing`` context of *start_method* (default
+    :func:`default_start_method`); shared primitives handed to a
+    pool's ``initargs`` must come from it.  Raises ``ValueError`` if
+    the method is not available here."""
+    method = start_method or default_start_method()
+    available = multiprocessing.get_all_start_methods()
+    if method not in available:
+        raise ValueError(
+            f"start method {method!r} not available here; "
+            f"pick from {', '.join(available)}"
+        )
+    return multiprocessing.get_context(method)
 
 
 class PoolBroken(RuntimeError):
@@ -151,10 +173,11 @@ class SupervisedPool:
     :param initializer: optional per-worker initializer (module-level
         callable for ``spawn`` compatibility).
     :param initargs: initializer arguments (must be picklable; shared
-        ``multiprocessing`` primitives from the same context are fine).
-    :param max_restarts: worker respawns tolerated before the pool
-        declares itself :exc:`PoolBroken`; defaults to
-        ``max(4, 2 * workers + 2)``.
+        ``multiprocessing`` primitives from :func:`pool_context` are
+        fine, and every respawned worker inherits them too).
+    :param max_restarts: worker respawns one :meth:`run_tasks` call
+        tolerates before the pool declares itself :exc:`PoolBroken`;
+        defaults to ``max(4, 2 * workers + 2)``.
     :param supervise: when ``False``, skip the liveness and deadline
         sweeps (the zero-overhead comparator the benchmark uses to
         price supervision; faults then wedge or sink the run exactly
@@ -168,35 +191,23 @@ class SupervisedPool:
                  supervise: bool = True):
         if workers < 1:
             raise ValueError(f"SupervisedPool needs workers >= 1, got {workers}")
-        method = start_method or default_start_method()
-        available = multiprocessing.get_all_start_methods()
-        if method not in available:
-            raise ValueError(
-                f"start method {method!r} not available here; "
-                f"pick from {', '.join(available)}"
-            )
+        self._ctx = pool_context(start_method)
         self.workers = workers
-        self.start_method = method
+        self.start_method = self._ctx.get_start_method()
         self.supervise = supervise
-        self._ctx = multiprocessing.get_context(method)
         self._initializer = initializer
         self._initargs = initargs
         self._max_restarts = (max(4, 2 * workers + 2)
                               if max_restarts is None else max_restarts)
         self._restarts = 0
-        self._next_task_id = 0
-        self._pool: list[_Worker] | None = [
-            _Worker(self._ctx, slot, initializer, initargs)
-            for slot in range(workers)
-        ]
+        with obs.span("pool.spawn", workers=workers,
+                      start_method=self.start_method):
+            self._pool: list[_Worker] | None = [
+                _Worker(self._ctx, slot, initializer, initargs)
+                for slot in range(workers)
+            ]
 
     # -- lifecycle ----------------------------------------------------
-
-    @property
-    def context(self):
-        """The ``multiprocessing`` context workers were spawned from
-        (shared primitives handed to ``initargs`` must come from it)."""
-        return self._ctx
 
     @property
     def closed(self) -> bool:
@@ -306,8 +317,12 @@ class SupervisedPool:
         :param on_retry: ``callback(index, reason)`` invoked before a
             requeue — the portfolio layer refunds ledger lanes here.
         :param pins: optional per-task worker slot (``run_on_all``).
+        :raises PoolBroken: when this call's worker respawns exceed
+            the pool's ``max_restarts`` (each call starts a fresh
+            count, so a persistent pool never runs out of restarts).
         """
         workers = self._live()
+        self._restarts = 0
         # a previous run_tasks abandoned mid-iteration (interrupt in the
         # caller) leaves workers marked busy; replace them so this run
         # cannot deadlock waiting on results nobody collects
@@ -438,16 +453,3 @@ class SupervisedPool:
                 raise RuntimeError(f"worker warm-up failed:\n{value}")
             results[index] = value
         return results
-
-    def imap_unordered(self, fn: Callable, iterable: Iterable, *,
-                       timeout_s: float | None = None,
-                       max_retries: int = 2):
-        """``Pool.imap_unordered`` shape on the supervised substrate:
-        yields values in completion order, raising ``RuntimeError`` on
-        the first quarantined task."""
-        tasks = [(fn, (item,)) for item in iterable]
-        for _index, ok, value in self.run_tasks(
-                tasks, timeout_s=timeout_s, max_retries=max_retries):
-            if not ok:
-                raise RuntimeError(value)
-            yield value

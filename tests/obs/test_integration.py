@@ -7,6 +7,7 @@ import pytest
 from repro import obs
 from repro.cli import main
 from repro.runner import expand_grid, run_sweep
+from repro.search import PortfolioPool
 
 
 class TestSweepTelemetry:
@@ -55,6 +56,25 @@ class TestSweepTelemetry:
         rendered = sweep.render()
         assert "packing:" in rendered
         assert "disk cache:" in rendered
+
+
+class TestPoolSpawnSpan:
+    """Every worker pool reports its spawn time, exactly once."""
+
+    @staticmethod
+    def spawns(run_dir):
+        obs.flush()
+        return obs.aggregate(run_dir).histograms["span.pool.spawn"]["count"]
+
+    def test_sweep_pool_records_one_spawn(self, run_dir):
+        jobs = expand_grid(["mini"], [8, 16], effort="quick")
+        assert not run_sweep(jobs, workers=2).errors
+        assert self.spawns(run_dir) == 1
+
+    def test_portfolio_pool_records_one_spawn(self, run_dir):
+        with PortfolioPool(2):
+            pass
+        assert self.spawns(run_dir) == 1
 
 
 class TestCliRunDir:

@@ -184,7 +184,7 @@ class TestDegradation:
         def no_pool(*args, **kwargs):
             raise OSError("Resource temporarily unavailable")
 
-        monkeypatch.setattr(engine, "WorkerPool", no_pool)
+        monkeypatch.setattr(engine, "SupervisedPool", no_pool)
         jobs = quick_jobs()
         reference = run_sweep(jobs, workers=1)
         degraded = run_sweep(jobs, workers=4)

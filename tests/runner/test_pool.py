@@ -1,15 +1,36 @@
 """Tests for the persistent worker pool and the engine's use of it."""
 
+import re
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.runner import WorkerPool, expand_grid, run_sweep
+from repro.search import PortfolioPool
+from repro.supervise import SupervisedPool
+
+
+class TestOnePool:
+    def test_worker_pool_is_the_supervised_pool(self):
+        assert WorkerPool is SupervisedPool
+        assert issubclass(PortfolioPool, SupervisedPool)
+
+    def test_only_supervise_starts_processes(self):
+        root = Path(repro.__file__).parent
+        starts = re.compile(
+            r"\.Process\(|multiprocessing\.Pool|ProcessPoolExecutor"
+        )
+        offenders = sorted(
+            str(path.relative_to(root))
+            for path in root.rglob("*.py")
+            if path != root / "supervise.py"
+            and starts.search(path.read_text(encoding="utf-8"))
+        )
+        assert offenders == []
 
 
 class TestWorkerPool:
-    def test_rejects_single_worker(self):
-        with pytest.raises(ValueError, match="workers >= 2"):
-            WorkerPool(1)
-
     def test_rejects_unknown_start_method(self):
         with pytest.raises(ValueError, match="not available"):
             WorkerPool(2, start_method="teleport")
@@ -28,7 +49,7 @@ class TestWorkerPool:
         pool.close()
         assert pool.closed
         with pytest.raises(ValueError, match="closed"):
-            list(pool.imap_unordered(len, [()]))
+            list(pool.run_tasks([(len, ((),))]))
 
 
 class TestRunSweepWithPool:
@@ -64,7 +85,7 @@ class TestRunSweepWithPool:
         def boom(*args, **kwargs):
             raise AssertionError("workers=1 must not build a pool")
 
-        monkeypatch.setattr(engine, "WorkerPool", boom)
+        monkeypatch.setattr(engine, "SupervisedPool", boom)
         jobs = expand_grid(["mini"], [8], effort="quick")
         sweep = run_sweep(jobs, workers=1)
         assert not sweep.errors

@@ -90,11 +90,6 @@ class TestBasics:
         assert len(set(pids)) == 2
         assert os.getpid() not in pids
 
-    def test_imap_unordered_yields_values(self):
-        with SupervisedPool(2, "fork") as pool:
-            values = sorted(pool.imap_unordered(_double, range(4)))
-        assert values == [0, 2, 4, 6]
-
     def test_unsupervised_mode_still_runs_clean_tasks(self):
         with SupervisedPool(2, "fork", supervise=False) as pool:
             out = run_all(pool, [(_double, (i,)) for i in range(3)])
@@ -148,16 +143,21 @@ class TestSupervision:
         assert "boom 7" in value0  # the final attempt's traceback
         assert out[1] == (True, 6)
 
-    def test_imap_unordered_raises_on_quarantine(self):
-        with SupervisedPool(1, "fork") as pool:
-            with pytest.raises(RuntimeError, match="boom 0"):
-                list(pool.imap_unordered(_fail_always, [0]))
-
     def test_pool_broken_after_restart_cap(self):
         with SupervisedPool(1, "fork", max_restarts=2) as pool:
             with pytest.raises(PoolBroken, match="gave up"):
                 run_all(pool, [(_crash_always, (0,))], max_retries=10,
                         backoff_base_s=0.01)
+
+    def test_restart_cap_bounds_one_run_not_the_pool_life(self, tmp_path):
+        """A persistent pool recovering from one crash per run (one
+        run per served sweep job) must not exhaust its cap of 6."""
+        with SupervisedPool(2, "fork") as pool:
+            for run in range(7):
+                marker = str(tmp_path / f"crashed-{run}")
+                out = run_all(pool, [(_crash_once, (marker, run))],
+                              backoff_base_s=0.01)
+                assert out == {0: (True, run)}
 
     def test_initializer_failure_breaks_pool(self):
         with SupervisedPool(1, "fork", initializer=_bad_init,

@@ -7,7 +7,10 @@ trajectory for the parallel search/runner layer of PR 4):
   every registered strategy at two seeds, shared incumbent + shared
   ledger) raced on a *warm* persistent 4-worker pool, against the
   serial ``optimize`` baseline (anneal, same total budget, same warm
-  starting state).  Gates:
+  starting state).  The same lanes also run inline (``workers=1``,
+  pre-warmed model, same budget); ``inline_s``, ``inline_best_cost``
+  and ``lane_mode_ratio`` (inline over lane-mode wall-clock) record
+  whether lane mode pays, as information only.  Gates:
 
   - ``budget``: zero cross-process overruns — the lanes' summed paid
     evaluations never exceed the global budget;
@@ -83,7 +86,8 @@ SWEEP_WORKERS = 4
 
 
 def _serial_model(soc, pack_kwargs: dict):
-    """A pre-warmed cost model for the serial baseline."""
+    """A pre-warmed cost model for the in-process contenders (serial
+    ``optimize`` and the inline portfolio)."""
     from repro.core.area import AreaModel
     from repro.core.cost import CostModel, CostWeights, ScheduleEvaluator
 
@@ -127,6 +131,15 @@ def portfolio_study(effort: str, budget: int,
         )
         parallel_s = time.perf_counter() - parallel_started
 
+    # the same lanes inline, from the same warm starting state
+    inline_model = _serial_model(soc, pack_kwargs)
+    inline_started = time.perf_counter()
+    inline = portfolio_search(
+        soc, width=STRESS_WIDTH, lanes=lanes, workers=1, budget=budget,
+        model=inline_model,
+    )
+    inline_s = time.perf_counter() - inline_started
+
     overrun = portfolio.n_evaluated - budget
     return {
         "workload": STRESS_WORKLOAD,
@@ -157,6 +170,9 @@ def portfolio_study(effort: str, budget: int,
         "budget_overrun": overrun,
         "speedup": round(serial_s / parallel_s, 3),
         "mode": portfolio.mode,
+        "inline_s": round(inline_s, 3),
+        "inline_best_cost": round(inline.best_cost, 4),
+        "lane_mode_ratio": round(inline_s / parallel_s, 3),
     }
 
 
@@ -408,6 +424,9 @@ def main(argv: list[str] | None = None) -> int:
           f"{portfolio['speedup']}x at {portfolio['workers']} workers "
           f"({portfolio['portfolio_evaluations']}/{portfolio['budget']} "
           f"evaluations, {100 * portfolio['gate_skip_rate']:.1f}% gated)")
+    print(f"  same lanes inline: best {portfolio['inline_best_cost']} in "
+          f"{portfolio['inline_s']}s; inline / lane-mode wall-clock = "
+          f"{portfolio['lane_mode_ratio']}x (information, not gated)")
     print(f"warm sweep ({sweep['n_jobs']} jobs x {sweep['repeats']}): "
           f"persistent pool {sweep['persistent_pool_s']}s vs fresh "
           f"pools {sweep['fresh_pool_s']}s = "

@@ -37,7 +37,9 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
+from collections import deque
 from pathlib import Path
 
 from .metrics import MetricsRegistry, MetricsSnapshot
@@ -83,7 +85,7 @@ class ObsState:
     """Everything one process knows about the active run."""
 
     __slots__ = ("run_dir", "registry", "pid", "context",
-                 "_events", "_events_path", "_rotate_bytes")
+                 "_events", "_events_path", "_rotate_bytes", "_lock")
 
     def __init__(self, run_dir: Path):
         self.run_dir = Path(run_dir)
@@ -92,7 +94,12 @@ class ObsState:
         #: ambient key/values merged into every event this process
         #: emits (e.g. ``lane``/``lane_label`` inside a lane task)
         self.context: dict = {}
-        self._events: list[dict] = []
+        #: queued event records; appends and the flush's drain are
+        #: both atomic on a deque, so no event is lost between threads
+        self._events: deque[dict] = deque()
+        #: serializes :meth:`flush` (a server flushes from its event
+        #: loop and from its job executor thread)
+        self._lock = threading.Lock()
         self._events_path = (
             self.run_dir / SPOOL_DIR / f"events-{self.pid}.jsonl"
         )
@@ -123,23 +130,25 @@ class ObsState:
 
     def flush(self) -> None:
         """Spool cumulative metrics + queued events to this process's
-        files.  Cheap when nothing changed; safe to call repeatedly."""
-        spool = self.run_dir / SPOOL_DIR
-        spool.mkdir(parents=True, exist_ok=True)
+        files.  Cheap when nothing changed; safe to call repeatedly,
+        from any thread."""
+        with self._lock:
+            spool = self.run_dir / SPOOL_DIR
+            spool.mkdir(parents=True, exist_ok=True)
 
-        snap = self.registry.snapshot()
-        if not snap.empty:
-            path = spool / f"metrics-{self.pid}.json"
-            tmp = path.with_suffix(f".tmp-{self.pid}")
-            tmp.write_text(json.dumps(snap.to_dict(), sort_keys=True))
-            os.replace(tmp, path)
+            snap = self.registry.snapshot()
+            if not snap.empty:
+                _replace_text(
+                    spool / f"metrics-{self.pid}.json",
+                    json.dumps(snap.to_dict(), sort_keys=True),
+                )
 
-        if self._events:
-            with self._events_path.open("a", encoding="utf-8") as fh:
-                for record in self._events:
-                    fh.write(json.dumps(record, sort_keys=True) + "\n")
-            self._events.clear()
-            self._maybe_rotate()
+            if self._events:
+                with self._events_path.open("a", encoding="utf-8") as fh:
+                    while self._events:
+                        record = self._events.popleft()
+                        fh.write(json.dumps(record, sort_keys=True) + "\n")
+                self._maybe_rotate()
 
     def _maybe_rotate(self) -> None:
         """Roll the event spool once it crosses the size cap.
@@ -164,6 +173,19 @@ class ObsState:
             os.replace(self._events_path, rotated)
         except OSError:
             pass
+
+
+def _replace_text(path: Path, text: str) -> None:
+    """Atomically replace *path* with *text* (temp file + rename).
+
+    The temp name carries the pid and the thread id, so concurrent
+    writers — processes or threads of one process — never share one.
+    """
+    tmp = path.with_name(
+        f"{path.name}.tmp-{os.getpid()}-{threading.get_ident()}"
+    )
+    tmp.write_text(text)
+    os.replace(tmp, path)
 
 
 # Sentinel distinguishing "never looked" from "looked: disabled", so
@@ -281,10 +303,8 @@ def aggregate(run_dir: str | Path, write: bool = True) -> MetricsSnapshot:
             except (OSError, ValueError, KeyError, TypeError):
                 continue
     if write:
-        out = run_dir / METRICS_FILE
-        tmp = out.with_suffix(f".tmp-{os.getpid()}")
-        tmp.write_text(json.dumps(merged.to_dict(), sort_keys=True))
-        os.replace(tmp, out)
+        _replace_text(run_dir / METRICS_FILE,
+                      json.dumps(merged.to_dict(), sort_keys=True))
     return merged
 
 
@@ -300,11 +320,9 @@ def write_status(run_dir: str | Path, status: str, **extra) -> None:
     """
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    out = run_dir / STATUS_FILE
-    tmp = out.with_suffix(f".tmp-{os.getpid()}")
     payload = {"status": status, "t_epoch": time.time(), **extra}
-    tmp.write_text(json.dumps(payload, sort_keys=True) + "\n")
-    os.replace(tmp, out)
+    _replace_text(run_dir / STATUS_FILE,
+                  json.dumps(payload, sort_keys=True) + "\n")
 
 
 def read_status(run_dir: str | Path) -> dict | None:

@@ -8,17 +8,15 @@ absolute cost points, not relative factors.  When the temperature
 freezes the walk reheats and teleports back to the incumbent, keeping
 the strategy anytime under large budgets.
 
-Batch-first restructuring (the PR 4 protocol): one step samples
-*batch* neighbors of the current state up front — they are mutually
-independent, so a parallel driver can evaluate them all at once — and
-the Metropolis chain then digests them **sequentially** against the
-evolving current state in :meth:`~SimulatedAnnealing.observe_batch`
-(the multiple-proposal annealing variant: proposals come from the
-step-start state, acceptances walk).  The acceptance uniform of every
-candidate is drawn unconditionally, so the RNG stream is a pure
-function of the step count — identical between the serial
-one-at-a-time decomposition and a batched driver, which the
-serial-vs-batch parity test pins.
+Batch-first: one step samples *batch* mutually independent neighbors
+of the current state up front, and the Metropolis chain then digests
+them **sequentially** against the evolving current state in
+:meth:`~SimulatedAnnealing.observe_batch` (the multiple-proposal
+annealing variant: proposals come from the step-start state,
+acceptances walk).  The acceptance uniform of every candidate is drawn
+unconditionally, so the RNG stream is a pure function of the step
+count — which is what lets a checkpoint taken between steps replay
+the same trajectory.
 """
 
 from __future__ import annotations
@@ -41,8 +39,7 @@ class SimulatedAnnealing(BatchProposeStrategy):
     :param tmin: freeze point; reaching it triggers a reheat to *t0*
         from the global incumbent.
     :param batch: neighbors sampled (and exposed through
-        ``propose_batch``) per step — the intra-step parallelism a
-        portfolio eval-mode lane can exploit.
+        ``propose_batch``) per step.
     """
 
     name = "anneal"

@@ -1,16 +1,18 @@
 """Checkpoint/resume for long optimization runs.
 
 A :class:`SearchCheckpoint` periodically pickles everything a run needs
-to continue after a kill — the strategy's full state (RNG stream
-included), the problem's cost cache, incumbent, and trace, and the
-driver's step counters — so a resumed run replays to a **byte-identical
-trajectory**: the determinism tests kill a run at evaluation *K*,
-resume it, and compare the complete trace against an uninterrupted run.
+to continue after a kill — for every lane, the strategy's full state
+(RNG stream included), the problem's cost cache, incumbent, and trace,
+and the lane's step counters, plus the lanes' shared ledger and
+incumbent (the layout :func:`~repro.search.strategy.interleave`
+writes) — so a resumed run replays to a **byte-identical trajectory**:
+the determinism tests kill a run at evaluation *K*, resume it, and
+compare the complete trace against an uninterrupted run.
 
-Snapshots are taken at step boundaries only (between
-``propose``/``observe`` rounds), where the strategy's RNG stream is a
-pure function of the step count; saving mid-step would capture a state
-no fault-free run ever passes through.
+Snapshots are taken at pass boundaries only (every lane between
+steps), where each strategy's RNG stream is a pure function of its
+step count; saving mid-step — on an interrupt, say — would capture a
+state no fault-free run ever passes through, so none is written then.
 
 Writes are atomic (temp file + :func:`os.replace`), so a crash *during*
 a checkpoint write leaves the previous complete snapshot in place, and
@@ -31,8 +33,9 @@ from pathlib import Path
 
 __all__ = ["SearchCheckpoint", "run_fingerprint"]
 
-#: bumped whenever the snapshot payload layout changes
-_FORMAT = 1
+#: bumped whenever the snapshot payload layout changes (2: one layout
+#: for serial runs and inline portfolios, a list of lanes)
+_FORMAT = 2
 
 
 def run_fingerprint(payload: object) -> str:
@@ -52,9 +55,9 @@ class SearchCheckpoint:
 
     :param path: snapshot file (parent directories created on first
         save).
-    :param every: steps between periodic saves; the driver also saves
-        once after the loop, so resuming a finished run is a no-op
-        replay.
+    :param every: loop passes (steps of every live lane) between
+        periodic saves; the loop also saves once when it finishes, so
+        resuming a finished run is a no-op replay.
     :param fingerprint: optional run-configuration digest
         (:func:`run_fingerprint`); when set, :meth:`load` refuses a
         snapshot written under a different fingerprint.

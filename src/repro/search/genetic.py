@@ -45,9 +45,8 @@ class GeneticSearch(BatchProposeStrategy):
     """Tournament-selection GA over partitions with group crossover.
 
     A generation's individuals are scored independently, so the whole
-    population is exposed through
-    :meth:`~repro.search.strategy.SearchStrategy.propose_batch` — the
-    natural fan-out unit for a parallel lane.
+    population is exposed as one
+    :meth:`~repro.search.strategy.SearchStrategy.propose_batch`.
 
     :param population: individuals per generation.
     :param elite: best individuals copied unchanged into the next

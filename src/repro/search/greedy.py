@@ -20,8 +20,7 @@ class RandomRestartGreedy(BatchProposeStrategy):
 
     One step's neighbor sample is mutually independent, so the
     strategy exposes it whole through
-    :meth:`~repro.search.strategy.SearchStrategy.propose_batch` —
-    a parallel lane evaluates all *samples* candidates at once.
+    :meth:`~repro.search.strategy.SearchStrategy.propose_batch`.
 
     :param samples: neighbors sampled (and paid for, first time each)
         per step.

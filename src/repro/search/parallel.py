@@ -1,25 +1,24 @@
 """Parallel anytime portfolio search over persistent warm workers.
 
-One budgeted search rarely saturates a machine: the PR 3 evaluation
-engine made a single schedule evaluation cheap, so the next scaling
-lever is running *many cooperating searches at once*.
 :func:`portfolio_search` races N ``(strategy, seed)`` **lanes** over
-the sharing space, three ways:
+the sharing space in one of two modes, chosen from the lane count:
 
-* ``workers=1`` — all lanes interleave round-robin in the current
-  process on one shared evaluator cache.  Fully deterministic (the
-  reference semantics the parallel modes are tested against) and free
-  of any ``multiprocessing`` overhead.
-* ``workers>1``, lanes >= workers (**lane mode**) — each lane runs
-  inside a persistent pool worker that built the SOC, the digital
-  Pareto staircases, the shared :class:`~repro.tam.packing.PackContext`,
-  and the all-sharing normalizer schedule once (at
-  :meth:`PortfolioPool.warm` or its first task) and keeps them warm.
-* ``workers>1``, lanes < workers (**eval mode**) — lanes step in the
-  parent and fan each step's independent candidates (the
-  :meth:`~repro.search.strategy.SearchStrategy.propose_batch` batch)
-  across idle workers through
-  :meth:`~repro.search.problem.SearchProblem.evaluate_batch`.
+* **inline** (one worker) — all lanes interleave round-robin in the
+  current process on one shared evaluator cache, through the same loop
+  as a serial search (:func:`~repro.search.strategy.interleave`).
+  Fully deterministic and checkpointable, and free of any
+  ``multiprocessing`` overhead.
+* **lanes** (two or more workers) — each lane runs whole inside a
+  persistent pool worker that built the SOC, the digital Pareto
+  staircases, the shared :class:`~repro.tam.packing.PackContext`, and
+  the all-sharing normalizer schedule once (at :meth:`PortfolioPool.warm`
+  or its first task) and keeps them warm.
+
+A portfolio that builds its own pool uses ``min(workers, lanes)``
+workers, so a one-lane portfolio always runs inline; an explicit
+*pool* always runs lane mode.  There is no per-evaluation fan-out: the
+lower-bound gate answers almost every candidate in the parent faster
+than a worker round-trip could.
 
 Two pieces of shared state tie the lanes into *one* search instead of
 N oblivious ones:
@@ -53,7 +52,6 @@ from __future__ import annotations
 
 import multiprocessing
 import pickle
-import random
 import sys
 import time
 from collections.abc import Sequence
@@ -71,14 +69,9 @@ from ..supervise import (
     pool_context,
 )
 from . import registry
-from .budget import Budget, BudgetExhausted, EvalLedger, SharedEvalLedger
+from .budget import Budget, EvalLedger, SharedEvalLedger
 from .problem import SearchProblem
-from .strategy import (
-    SearchOutcome,
-    StallGuard,
-    build_outcome,
-    run_strategy,
-)
+from .strategy import LaneRun, SearchOutcome, interleave, run_strategy
 
 __all__ = [
     "Lane",
@@ -100,9 +93,9 @@ class PortfolioInterrupted(KeyboardInterrupt):
     """A portfolio run was interrupted (SIGINT/SIGTERM) mid-flight.
 
     Carries the partial :class:`PortfolioOutcome` when the in-process
-    lane state allowed assembling one (inline/eval modes), ``None``
-    when the interrupt landed while worker lanes were in flight (their
-    mid-run state dies with the tasks).
+    lane state allowed assembling one (inline mode), ``None`` when the
+    interrupt landed while worker lanes were in flight (their mid-run
+    state dies with the tasks).
     """
 
     def __init__(self, outcome: "PortfolioOutcome | None" = None):
@@ -269,7 +262,7 @@ class PortfolioOutcome:
     :param n_gated: lower-bound gate skips summed over lanes.
     :param elapsed_s: portfolio wall-clock.
     :param workers: worker processes used (1 = in-process).
-    :param mode: ``"inline"``, ``"lanes"``, or ``"evals"``.
+    :param mode: ``"inline"`` or ``"lanes"``.
     :param budget_total: the global evaluation allowance (``None`` =
         wall-clock only).
     """
@@ -490,26 +483,6 @@ def _lane_task(
         obs.set_context(lane_label=None, strategy=None)
 
 
-def _eval_task(
-    config_bytes: bytes, partitions: Sequence[Partition]
-) -> list[tuple[float, int]]:
-    """Cost *partitions* on this worker's warm model.
-
-    Returns ``(cost, n_packs)`` pairs — the pack count lets the
-    parent-side problem keep its paper-``n`` accounting exact even
-    though the packing happened remotely.
-    """
-    model = _worker_model(config_bytes)
-    out = []
-    for partition in partitions:
-        before = model.evaluator.evaluations
-        cost = model.total_cost(partition)
-        out.append((cost, model.evaluator.evaluations - before))
-    model.evaluator.publish_obs()
-    obs.flush()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # pool
 
@@ -555,8 +528,8 @@ class PortfolioPool(SupervisedPool):
 
         One pinned warm task per worker slot
         (:meth:`SupervisedPool.run_on_all`), so no worker can grab
-        two.  After this, the first real lane or eval task pays
-        nothing but the search itself — which is what a steady-state
+        two.  After this, the first real lane task pays nothing but
+        the search itself — which is what a steady-state
         throughput measurement (``benchmarks/bench_parallel.py``)
         should time.  A failed worker build raises ``RuntimeError``
         carrying the worker-side traceback.
@@ -635,101 +608,9 @@ class PortfolioPool(SupervisedPool):
             )
         return results
 
-    def batch_cost(self, config_bytes: bytes):
-        """A :class:`~repro.search.problem.SearchProblem`-compatible
-        bulk costing function fanning partitions across the workers."""
-
-        def cost(partitions: Sequence[Partition]):
-            st = obs.state()
-            if st is not None:
-                st.registry.counter("pool.batches").inc()
-                st.registry.counter(
-                    "pool.batched_evals"
-                ).inc(len(partitions))
-            strides = [
-                partitions[i::self.workers] for i in range(self.workers)
-            ]
-            offsets = [i for i, s in enumerate(strides) if s]
-            tasks = [
-                (_eval_task, (config_bytes, stride))
-                for stride in strides if stride
-            ]
-            results: list = [None] * len(partitions)
-            for index, ok, value in self.run_tasks(tasks):
-                if not ok:
-                    raise RuntimeError(
-                        f"batch evaluation failed after retries:\n"
-                        f"{value}"
-                    )
-                base = offsets[index]
-                for j, pair in enumerate(value):
-                    results[base + j * self.workers] = pair
-            return results
-
-        return cost
-
 
 # ---------------------------------------------------------------------------
 # drivers
-
-class _LaneRun:
-    """Mutable bookkeeping for one interleaved in-parent lane."""
-
-    def __init__(self, lane: Lane, strategy, problem: SearchProblem):
-        self.lane = lane
-        self.strategy = strategy
-        self.problem = problem
-        self.guard = StallGuard()
-        self.done = False
-
-    def outcome(self) -> SearchOutcome:
-        return build_outcome(
-            self.strategy, self.problem, self.lane.seed, self.guard.steps,
-            self.guard.stalled, allow_empty=True,
-        )
-
-
-def _interleave_lanes(runs: list[_LaneRun], batched: bool,
-                      on_round=None) -> bool:
-    """Round-robin lane stepping until every lane is done.
-
-    One pass gives each live lane one step; a lane finishes on budget
-    exhaustion (its own wall clock or the shared ledger) or on the
-    per-lane stall guard.  Deterministic: the visit order is the lane
-    order, every time.  *on_round* (if given) runs after each full
-    pass — a round boundary is the only instant where every lane sits
-    at a step boundary, which is what makes it a safe checkpoint
-    instant.  Returns whether the loop was interrupted
-    (``KeyboardInterrupt``) rather than finishing.
-    """
-    rounds = 0
-    try:
-        while True:
-            live = [run for run in runs if not run.done]
-            if not live:
-                return False
-            for run in live:
-                if run.problem.budget.exhausted:
-                    run.done = True
-                    continue
-                try:
-                    if batched:
-                        batch = run.strategy.propose_batch()
-                        costs = run.problem.evaluate_batch(batch)
-                        run.strategy.observe_batch(batch, costs)
-                    else:
-                        run.strategy.step()
-                except BudgetExhausted:
-                    run.done = True
-                    continue
-                if run.guard.step(run.problem.n_evaluated):
-                    run.done = True
-            rounds += 1
-            if on_round is not None:
-                on_round(rounds)
-    except KeyboardInterrupt:
-        return True
-
 
 def _run_in_parent(
     model: CostModel,
@@ -737,83 +618,39 @@ def _run_in_parent(
     gate: bool,
     budget: int | None,
     max_seconds: float | None,
-    batch_cost=None,
     checkpoint=None,
 ) -> tuple[list[SearchOutcome], bool]:
-    """Interleaved lanes in the current process (inline/eval modes).
+    """The inline mode: every lane on *model*, through
+    :func:`~repro.search.strategy.interleave` with one in-process
+    ledger and incumbent (and *checkpoint*, if given).
 
-    Returns ``(outcomes, interrupted)``.  With *checkpoint* (a
-    :class:`~repro.search.checkpoint.SearchCheckpoint`), the run
-    resumes from a stored round-boundary snapshot when one exists and
-    snapshots every ``checkpoint.every`` rounds — lane strategies, cost
-    caches, the shared ledger, and the incumbent together, so a killed
-    portfolio replays to the uninterrupted run's exact trajectory.
+    Returns ``(outcomes, interrupted)``; on ``KeyboardInterrupt`` the
+    outcomes are the lanes' partial results.
     """
     ledger = EvalLedger(budget) if budget is not None else None
     incumbent = LocalIncumbent()
-    slices = lane_slices(budget, len(lanes))
-    runs = []
     st = obs.state()
-    for lane, lane_slice in zip(lanes, slices):
-        lane_budget = Budget(
-            max_evaluations=lane_slice, max_seconds=max_seconds,
-            ledger=ledger,
-        ).start()
+    runs = []
+    for lane, lane_slice in zip(lanes, lane_slices(budget, len(lanes))):
         problem = SearchProblem(
-            model, lane_budget, gate=gate, incumbent=incumbent,
-            batch_cost=batch_cost,
+            model,
+            Budget(max_evaluations=lane_slice, max_seconds=max_seconds,
+                   ledger=ledger),
+            gate=gate, incumbent=incumbent,
         )
         problem.obs_label = lane.label
         if st is not None:
             problem.heartbeat = obs.LaneHeartbeat(lane.label, st)
-        strategy = registry.create(lane.strategy)
-        strategy.bind(problem, random.Random(lane.seed))
-        runs.append(_LaneRun(lane, strategy, problem))
-
-    on_round = None
-    if checkpoint is not None:
-        def save_state() -> None:
-            checkpoint.save({
-                "ledger_taken": 0 if ledger is None else ledger.taken,
-                "incumbent": incumbent.get(),
-                "runs": [
-                    {
-                        **run.guard.snapshot(),
-                        "last_evaluated": run.guard.last_evaluated,
-                        "done": run.done,
-                        "strategy": run.strategy.state_snapshot(),
-                        "problem": run.problem.state_snapshot(),
-                    }
-                    for run in runs
-                ],
-            })
-
-        stored = checkpoint.load()
-        if stored is not None:
-            if ledger is not None:
-                ledger.restore_taken(stored["ledger_taken"])
-            if stored["incumbent"] != float("inf"):
-                incumbent.offer(stored["incumbent"])
-            for run, kept in zip(runs, stored["runs"]):
-                run.problem.state_restore(kept["problem"])
-                run.strategy.state_restore(kept["strategy"])
-                run.guard.restore(kept)
-                run.guard.last_evaluated = kept["last_evaluated"]
-                run.done = kept["done"]
-
-        def on_round(rounds: int) -> None:
-            if rounds % checkpoint.every == 0:
-                save_state()
-
-    interrupted = _interleave_lanes(
-        runs, batched=batch_cost is not None, on_round=on_round
-    )
-    if checkpoint is not None:
-        # final snapshot (interrupt included): resuming a finished run
-        # is a no-op replay, resuming an interrupted one continues it
-        save_state()
+        runs.append(
+            LaneRun(registry.create(lane.strategy), problem, lane.seed)
+        )
+    interrupted = False
+    try:
+        interleave(runs, checkpoint, ledger=ledger, incumbent=incumbent)
+    except KeyboardInterrupt:
+        interrupted = True
     model.evaluator.publish_obs()
-    return [run.outcome() for run in runs], interrupted
+    return [run.outcome(allow_empty=True) for run in runs], interrupted
 
 
 def portfolio_search(
@@ -840,20 +677,21 @@ def portfolio_search(
     (each lane's lower-bound gate prunes against the best cost *any*
     lane has achieved) and a shared evaluation ledger (the lanes
     collectively never exceed *budget* paid evaluations).  See the
-    module docstring for the three execution modes.
+    module docstring for the two execution modes.
 
-    Determinism: ``workers=1`` is exactly reproducible per
-    ``(lanes, seeds)``.  Multi-worker runs keep every per-lane
-    trajectory seed-driven, but the lane *interleaving* (who improves
-    the incumbent first, who drains the ledger) follows the OS
-    scheduler, so they are not bit-reproducible — only
-    budget-respecting and anytime-valid.
+    Determinism: the inline mode is exactly reproducible per
+    ``(lanes, seeds)``.  Lane mode keeps every per-lane trajectory
+    seed-driven, but the lane *interleaving* (who improves the
+    incumbent first, who drains the ledger) follows the OS scheduler,
+    so it is not bit-reproducible — only budget-respecting and
+    anytime-valid.
 
     :param soc: the mixed-signal SOC.
     :param width: SOC-level TAM width ``W``.
     :param lanes: lane count (strategies cycled via
         :func:`default_lanes`) or an explicit lane sequence.
-    :param workers: worker processes; 1 = in-process interleaving.
+    :param workers: worker processes, capped at the lane count; 1 =
+        in-process interleaving.
     :param budget: global paid-evaluation allowance shared by all
         lanes (``None`` = unlimited, then *max_seconds* is required).
         Split into fair per-lane slices (:func:`lane_slices`) so every
@@ -868,24 +706,23 @@ def portfolio_search(
     :param gate: enable the lower-bound pruning gate.
     :param start_method: explicit ``multiprocessing`` start method for
         a pool created by this call (ignored with *pool*).
-    :param pool: a persistent :class:`PortfolioPool` to reuse
-        (``workers`` is then taken from the pool).
-    :param model: optional pre-built cost model for the in-process
-        modes (ignored by lane mode, whose workers build their own).
+    :param pool: a persistent :class:`PortfolioPool` to reuse; runs
+        lane mode, with ``workers`` taken from the pool.
+    :param model: optional pre-built cost model for the inline mode
+        (ignored by lane mode, whose workers build their own).
     :param checkpoint: optional
         :class:`~repro.search.checkpoint.SearchCheckpoint` for the
-        deterministic ``workers=1`` mode — the run resumes from a
-        stored snapshot and snapshots periodically, so a killed
-        portfolio replays to a byte-identical trajectory.
+        deterministic inline mode — the run resumes from a stored
+        snapshot and snapshots periodically, so a killed portfolio
+        replays to a byte-identical trajectory.
     :param pack_kwargs: forwarded to the rectangle packer (ignored
         when *model* is given).
 
     Fault tolerance: a broken or unspawnable worker pool (repeated
     worker deaths past the restart cap, ``OSError`` at spawn) degrades
-    to the in-process ``workers=1`` mode with a logged warning instead
-    of failing the run; ``SIGINT``/``SIGTERM`` raises
-    :exc:`PortfolioInterrupted` carrying the partial outcome the
-    in-process modes can still assemble.
+    to the inline mode with a logged warning instead of failing the
+    run; ``SIGINT``/``SIGTERM`` raises :exc:`PortfolioInterrupted`
+    carrying the partial outcome the inline mode can still assemble.
 
     :raises ValueError: on no budget at all, or when every lane ended
         without a single un-gated evaluation (cannot happen with a
@@ -910,8 +747,11 @@ def portfolio_search(
         )
     if pool is not None:
         workers = pool.workers
-    if workers < 1:
+    elif workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    else:
+        # a worker without a lane would only idle
+        workers = min(workers, len(lane_specs))
     if checkpoint is not None and workers != 1:
         raise ValueError(
             "checkpointing requires workers=1 (only the deterministic "
@@ -919,40 +759,20 @@ def portfolio_search(
         )
 
     started = time.perf_counter()
-    interrupted = False
-    if workers == 1:
-        mode = "inline"
-        if model is None:
-            model = _build_model(soc, width, wt, pack_kwargs)
-        outcomes, interrupted = _run_in_parent(
-            model, lane_specs, gate, budget, max_seconds,
-            checkpoint=checkpoint,
-        )
-    else:
+    outcomes = None
+    if workers > 1:
         config_bytes = portfolio_config(soc, width, wt, **pack_kwargs)
         owned = pool is None
         try:
             if owned:
                 pool = PortfolioPool(workers, start_method)
             try:
-                if len(lane_specs) >= workers:
-                    mode = "lanes"
-                    pool.reset(budget)
-                    outcomes = pool.run_lanes(
-                        config_bytes, lane_specs, gate, max_seconds,
-                        budget,
-                    )
-                else:
-                    mode = "evals"
-                    pool.reset(None)  # parent meters the budget itself
-                    if model is None:
-                        model = _build_model(soc, width, wt, pack_kwargs)
-                    outcomes, interrupted = _run_in_parent(
-                        model, lane_specs, gate, budget, max_seconds,
-                        batch_cost=pool.batch_cost(config_bytes),
-                    )
+                pool.reset(budget)
+                outcomes = pool.run_lanes(
+                    config_bytes, lane_specs, gate, max_seconds, budget,
+                )
             finally:
-                if owned and pool is not None:
+                if owned:
                     pool.close()
         except KeyboardInterrupt:
             # worker-lane state dies with the in-flight tasks; the
@@ -972,51 +792,38 @@ def portfolio_search(
                 "pool.degraded", reason=str(exc),
                 lanes=len(lane_specs), where="portfolio",
             )
-            mode = "inline"
-            if model is None:
-                model = _build_model(soc, width, wt, pack_kwargs)
-            outcomes, interrupted = _run_in_parent(
-                model, lane_specs, gate, budget, max_seconds
-            )
+    mode = "lanes"
+    interrupted = False
+    if outcomes is None:
+        mode = "inline"
+        if model is None:
+            model = _build_model(soc, width, wt, pack_kwargs)
+        outcomes, interrupted = _run_in_parent(
+            model, lane_specs, gate, budget, max_seconds, checkpoint
+        )
 
-    elapsed = time.perf_counter() - started
     settled = [o for o in outcomes if o.best_partition is not None]
+    result = None
+    if settled:
+        best = min(settled, key=lambda o: (o.best_cost, o.best_partition))
+        result = PortfolioOutcome(
+            lanes=lane_specs,
+            outcomes=tuple(outcomes),
+            best_partition=best.best_partition,
+            best_cost=best.best_cost,
+            n_evaluated=sum(o.n_evaluated for o in outcomes),
+            n_packs=sum(o.n_packs for o in outcomes),
+            n_gated=sum(o.n_gated for o in outcomes),
+            elapsed_s=time.perf_counter() - started,
+            workers=workers,
+            mode=mode,
+            budget_total=budget,
+        )
     if interrupted:
-        partial = None
-        if settled:
-            best = min(
-                settled, key=lambda o: (o.best_cost, o.best_partition)
-            )
-            partial = PortfolioOutcome(
-                lanes=lane_specs,
-                outcomes=tuple(outcomes),
-                best_partition=best.best_partition,
-                best_cost=best.best_cost,
-                n_evaluated=sum(o.n_evaluated for o in outcomes),
-                n_packs=sum(o.n_packs for o in outcomes),
-                n_gated=sum(o.n_gated for o in outcomes),
-                elapsed_s=elapsed,
-                workers=workers,
-                mode=mode,
-                budget_total=budget,
-            )
-        raise PortfolioInterrupted(partial)
-    if not settled:
+        raise PortfolioInterrupted(result)
+    if result is None:
         raise ValueError(
             "no lane completed a single un-gated evaluation — "
             "the budget expired before the portfolio could start"
         )
-    best = min(settled, key=lambda o: (o.best_cost, o.best_partition))
-    return PortfolioOutcome(
-        lanes=lane_specs,
-        outcomes=tuple(outcomes),
-        best_partition=best.best_partition,
-        best_cost=best.best_cost,
-        n_evaluated=sum(o.n_evaluated for o in outcomes),
-        n_packs=sum(o.n_packs for o in outcomes),
-        n_gated=sum(o.n_gated for o in outcomes),
-        elapsed_s=elapsed,
-        workers=workers,
-        mode=mode,
-        budget_total=budget,
-    )
+    return result

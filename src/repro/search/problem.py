@@ -2,9 +2,8 @@
 
 A :class:`SearchProblem` binds a :class:`~repro.core.cost.CostModel` to
 a :class:`~repro.search.budget.Budget` and exposes exactly one paid
-operation: :meth:`SearchProblem.evaluate` (and its batched sibling
-:meth:`SearchProblem.evaluate_batch`).  Three layers keep repeated work
-free:
+operation: :meth:`SearchProblem.evaluate`.  Three layers keep repeated
+work free:
 
 1. a problem-level cost cache (a partition is *charged* at most once
    per search, no matter how often a strategy re-visits it);
@@ -29,13 +28,13 @@ through :mod:`repro.reporting`.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
 from .. import faults, obs
 from ..core.cost import CostModel
 from ..core.sharing import Partition, format_partition
-from .budget import Budget, BudgetExhausted
+from .budget import Budget
 
 __all__ = ["SearchProblem", "TracePoint"]
 
@@ -91,13 +90,6 @@ class SearchProblem:
         protocol).  The gate then prunes against the best cost of the
         whole cooperating portfolio, not just this problem's own best,
         and every local improvement is offered back.
-    :param batch_cost: optional bulk costing function for
-        :meth:`evaluate_batch`: takes the partitions that survived the
-        gate and returns ``(cost, n_packs)`` pairs in order.  The
-        parallel driver injects a worker-pool-backed one; ``None``
-        computes in-process through the model, as do single-candidate
-        batches either way (one dispatch costs more than one
-        evaluation).
     """
 
     def __init__(
@@ -106,15 +98,11 @@ class SearchProblem:
         budget: Budget | None = None,
         gate: bool = True,
         incumbent=None,
-        batch_cost: Callable[
-            [Sequence[Partition]], Sequence[tuple[float, int]]
-        ] | None = None,
     ):
         self.model = model
         self.budget = budget if budget is not None else Budget()
         self.gate = gate
         self.incumbent = incumbent
-        self.batch_cost = batch_cost
         self.names: tuple[str, ...] = tuple(
             core.name for core in model.soc.analog_cores
         )
@@ -156,9 +144,7 @@ class SearchProblem:
     def n_packs(self) -> int:
         """Actual TAM packing runs this search caused (the paper's
         ``n`` accounting; smaller than :attr:`n_evaluated` whenever the
-        shared evaluator was warm).  Remote packs performed on this
-        problem's behalf by a worker pool (*batch_cost*) are counted
-        too."""
+        shared evaluator was warm)."""
         return self._n_packs
 
     def is_cached(self, partition: Partition) -> bool:
@@ -211,38 +197,6 @@ class SearchProblem:
                 best = shared
         return best
 
-    def _record(self, partition: Partition, cost: float,
-                gated: bool, reference: float) -> None:
-        """Account one freshly charged evaluation."""
-        self._costs[partition] = cost
-        if self._obs is not None:
-            self._c_evals.inc()
-        if gated:
-            self.n_gated += 1
-            self.gated_partitions.append((partition, cost, reference))
-            if self._obs is not None:
-                self._c_gated.inc()
-            return
-        if cost < self.best_cost:
-            self.best_cost = cost
-            self.best_partition = partition
-            if self.incumbent is not None:
-                self.incumbent.offer(cost)
-            self.trace.append(TracePoint(
-                n_evaluated=self.n_evaluated,
-                best_cost=cost,
-                partition=format_partition(partition),
-                elapsed_s=self.budget.elapsed_s,
-                t_mono=time.monotonic(),
-                t_epoch=time.time(),
-            ))
-            if self._obs is not None:
-                self._c_improved.inc()
-                attrs = {"cost": cost, "n_evaluated": self.n_evaluated}
-                if self.obs_label is not None:
-                    attrs["lane_label"] = self.obs_label
-                self._obs.emit("incumbent.update", **attrs)
-
     def evaluate(self, partition: Partition) -> float:
         """The Eq. (2) total cost of *partition*.
 
@@ -263,7 +217,33 @@ class SearchProblem:
         before = self.model.evaluator.evaluations
         cost, gated = self.model.gated_cost(partition, reference)
         self._n_packs += self.model.evaluator.evaluations - before
-        self._record(partition, cost, gated, reference)
+        self._costs[partition] = cost
+        if self._obs is not None:
+            self._c_evals.inc()
+        if gated:
+            self.n_gated += 1
+            self.gated_partitions.append((partition, cost, reference))
+            if self._obs is not None:
+                self._c_gated.inc()
+        elif cost < self.best_cost:
+            self.best_cost = cost
+            self.best_partition = partition
+            if self.incumbent is not None:
+                self.incumbent.offer(cost)
+            self.trace.append(TracePoint(
+                n_evaluated=self.n_evaluated,
+                best_cost=cost,
+                partition=format_partition(partition),
+                elapsed_s=self.budget.elapsed_s,
+                t_mono=time.monotonic(),
+                t_epoch=time.time(),
+            ))
+            if self._obs is not None:
+                self._c_improved.inc()
+                attrs = {"cost": cost, "n_evaluated": self.n_evaluated}
+                if self.obs_label is not None:
+                    attrs["lane_label"] = self.obs_label
+                self._obs.emit("incumbent.update", **attrs)
         if self.heartbeat is not None:
             self.heartbeat.beat(self)
         return cost
@@ -271,82 +251,8 @@ class SearchProblem:
     def evaluate_batch(
         self, partitions: Sequence[Partition]
     ) -> list[float]:
-        """Eq. (2) costs of *partitions*, in order, costed in bulk.
-
-        Semantically a loop of :meth:`evaluate` — same caching, budget
-        charging, gating, and trace accounting — but the candidates
-        that survive the gate are costed through *batch_cost* in one
-        call, so a parallel driver can fan them across idle pool
-        workers.  The gate reference is sampled once at batch start
-        (a batch is one strategy step; improvements land when the
-        batch is recorded).
-
-        :raises BudgetExhausted: when the budget dries up mid-batch;
-            the affordable prefix is still evaluated and recorded
-            first, so no charged work is lost.
-        """
-        results: dict[int, float] = {}
-        fresh: list[Partition] = []
-        fresh_index: dict[Partition, list[int]] = {}
-        exhausted = None
-        for i, partition in enumerate(partitions):
-            cached = self._costs.get(partition)
-            if cached is not None:
-                results[i] = cached
-                continue
-            if partition in fresh_index:
-                fresh_index[partition].append(i)
-                continue
-            if exhausted is not None:
-                continue
-            try:
-                self.budget.charge()
-            except BudgetExhausted as exc:
-                exhausted = exc
-                continue
-            faults.hit("eval")
-            fresh.append(partition)
-            fresh_index[partition] = [i]
-
-        reference = self._gate_reference()
-        to_cost: list[Partition] = []
-        gated_bounds: dict[Partition, float] = {}
-        for partition in fresh:
-            if reference != float("inf"):
-                bound = self.model.cost_lower_bound(partition)
-                if bound > reference:
-                    gated_bounds[partition] = bound
-                    continue
-            to_cost.append(partition)
-
-        # a single survivor is cheaper on the local warm model than a
-        # pickle + dispatch round-trip to a worker
-        if to_cost and self.batch_cost is not None and len(to_cost) > 1:
-            costed = list(self.batch_cost(to_cost))
-        else:
-            costed = []
-            for partition in to_cost:
-                before = self.model.evaluator.evaluations
-                cost = self.model.total_cost(partition)
-                costed.append(
-                    (cost, self.model.evaluator.evaluations - before)
-                )
-
-        costs = dict(zip(to_cost, costed))
-        for partition in fresh:
-            if partition in gated_bounds:
-                self._record(
-                    partition, gated_bounds[partition], True, reference
-                )
-            else:
-                cost, packs = costs[partition]
-                self._n_packs += packs
-                self._record(partition, cost, False, reference)
-            for i in fresh_index[partition]:
-                results[i] = self._costs[partition]
-        if fresh and self.heartbeat is not None:
-            self.heartbeat.beat(self)
-
-        if exhausted is not None:
-            raise exhausted
-        return [results[i] for i in range(len(partitions))]
+        """Eq. (2) costs of *partitions*, in order: a loop of
+        :meth:`evaluate`, so a mid-batch
+        :class:`~repro.search.budget.BudgetExhausted` leaves the
+        affordable prefix evaluated and recorded."""
+        return [self.evaluate(partition) for partition in partitions]

@@ -8,11 +8,13 @@ answer.  The default :meth:`step` realizes the propose/observe cycle —
 strategy :meth:`observe` the outcome — and strategies with batched
 steps (e.g. a genetic generation) override :meth:`step` wholesale.
 
-:func:`run_strategy` is the driver: it wires strategy, problem, and
-budget together, loops until the budget is exhausted (or the strategy
-stalls — keeps proposing only already-cached candidates), and returns a
-:class:`SearchOutcome` carrying the incumbent, the evaluation
-accounting, and the anytime trace.
+:func:`interleave` is the one run loop: it steps a list of
+:class:`LaneRun` round-robin until each is out of budget or stalled
+(keeps proposing only already-cached candidates), checkpointing at
+pass boundaries.  :func:`run_strategy` is its one-lane call and
+returns a :class:`SearchOutcome` carrying the incumbent, the
+evaluation accounting, and the anytime trace; the inline portfolio
+(:mod:`repro.search.parallel`) runs its lanes through the same loop.
 
 Reproducibility discipline: all randomness flows from the single
 ``random.Random(seed)`` handed to :meth:`SearchStrategy.bind`, so a
@@ -24,20 +26,22 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..core.optimizer import OptimizationResult
 from ..core.sharing import Partition, format_partition
-from .budget import Budget, BudgetExhausted
+from .budget import BudgetExhausted
 from .problem import SearchProblem, TracePoint
 
 __all__ = [
     "BatchProposeStrategy",
+    "LaneRun",
     "ProposeObserveStrategy",
     "SearchOutcome",
     "SearchStrategy",
     "StallGuard",
-    "build_outcome",
+    "interleave",
     "run_strategy",
 ]
 
@@ -48,12 +52,11 @@ STALL_LIMIT = 250
 
 
 class StallGuard:
-    """A run loop's step count and stall guard.
+    """A lane's step count and stall guard.
 
-    :func:`run_strategy` and the portfolio's interleaved lanes
-    (:mod:`repro.search.parallel`) both count their steps here, so the
-    stall policy lives in one place.  The fields are the run's
-    checkpointed driver state.
+    Every :class:`LaneRun` counts its steps here, so the stall policy
+    lives in one place.  The fields are the lane's checkpointed driver
+    state.
     """
 
     __slots__ = ("steps", "stall_steps", "last_evaluated", "stalled")
@@ -79,7 +82,8 @@ class StallGuard:
         return self.stalled
 
     def snapshot(self) -> dict:
-        """The checkpoint fields (``last_evaluated`` is the caller's)."""
+        """The checkpoint fields (``last_evaluated`` is re-derived from
+        the restored problem)."""
         return {"steps": self.steps, "stall_steps": self.stall_steps,
                 "stalled": self.stalled}
 
@@ -147,25 +151,14 @@ class SearchStrategy(ABC):
         depend on its cost, :meth:`propose_batch` yields a set of
         candidates whose costs the strategy can digest *together* (via
         :meth:`observe_batch`), with no intra-batch data dependency.
-        That independence is what lets a parallel driver
-        (:func:`repro.search.parallel.portfolio_search`) fan the
-        batch's evaluations across idle pool workers instead of paying
-        for them one at a time — a lane's wall-clock per step shrinks
-        to that of its slowest candidate.
-
-        Inherently sequential strategies may keep the default
-        single-candidate batch and still work everywhere, just without
-        intra-step parallelism; all four shipped strategies (greedy,
-        tabu, genetic, and the multiple-proposal annealing variant)
-        override it to expose their natural batch (the step's neighbor
-        sample, the generation's unscored members, the Metropolis
-        step's proposal set).
+        All four shipped strategies (greedy, tabu, genetic, and the
+        multiple-proposal annealing variant) expose their natural
+        batch this way: the step's neighbor sample, the generation's
+        members, the Metropolis step's proposal set.
 
         Contract: one call to :meth:`propose_batch` followed by one
         call to :meth:`observe_batch` with the evaluated costs is
-        exactly one :meth:`step` — strategies must keep the two
-        decompositions behaviorally identical, RNG stream included, so
-        serial and batched drivers produce the same trajectory.
+        exactly one :meth:`step`, RNG stream included.
         """
         return [self.propose()]
 
@@ -233,10 +226,8 @@ class BatchProposeStrategy(SearchStrategy):
     """A strategy whose step is propose_batch → evaluate → observe_batch.
 
     Subclasses implement :meth:`~SearchStrategy.propose_batch` and
-    :meth:`~SearchStrategy.observe_batch`; the serial :meth:`step`
-    evaluates the batch one by one through the problem (identical
-    costs, identical RNG stream), while batched drivers swap the loop
-    for :meth:`~repro.search.problem.SearchProblem.evaluate_batch`.
+    :meth:`~SearchStrategy.observe_batch`; :meth:`step` evaluates the
+    batch one candidate at a time through the problem.
     """
 
     def step(self) -> None:
@@ -326,6 +317,146 @@ class SearchOutcome:
         )
 
 
+class LaneRun:
+    """One strategy bound to its problem, stepped by :func:`interleave`.
+
+    Starts the problem's budget and binds the strategy to a fresh
+    ``random.Random(seed)``; carries the lane's :class:`StallGuard` and
+    done flag.
+    """
+
+    def __init__(self, strategy: SearchStrategy, problem: SearchProblem,
+                 seed: int = 0):
+        self.strategy = strategy
+        self.problem = problem
+        self.seed = seed
+        problem.budget.start()
+        strategy.bind(problem, random.Random(seed))
+        self.guard = StallGuard()
+        self.guard.last_evaluated = problem.n_evaluated
+        self.done = False
+
+    def advance(self) -> None:
+        """Take one step, or finish: on an exhausted budget (checked
+        between steps, enforced mid-step by the problem) or a stall."""
+        if self.problem.budget.exhausted:
+            self.done = True
+            return
+        try:
+            self.strategy.step()
+        except BudgetExhausted:
+            self.done = True
+            return
+        self.done = self.guard.step(self.problem.n_evaluated)
+
+    def snapshot(self) -> dict:
+        """The lane's checkpoint entry (taken between steps)."""
+        return {
+            **self.guard.snapshot(),
+            "done": self.done,
+            "strategy": self.strategy.state_snapshot(),
+            "problem": self.problem.state_snapshot(),
+        }
+
+    def restore(self, stored: dict) -> None:
+        """Adopt a :meth:`snapshot` entry."""
+        self.problem.state_restore(stored["problem"])
+        self.strategy.state_restore(stored["strategy"])
+        self.guard.restore(stored)
+        self.guard.last_evaluated = self.problem.n_evaluated
+        self.done = stored["done"]
+
+    def outcome(self, allow_empty: bool = False) -> SearchOutcome:
+        """The lane's :class:`SearchOutcome`.
+
+        :param allow_empty: accept a lane with no improving evaluation
+            — a portfolio lane whose shared ledger was drained, or
+            whose every candidate the *shared* incumbent gate pruned —
+            and report it with ``best_partition None`` / infinite cost.
+        :raises ValueError: (unless *allow_empty*) if the budget
+            allowed no evaluation at all (e.g. a wall-clock budget that
+            expired before the first step).
+        """
+        problem = self.problem
+        if problem.best_partition is None and not allow_empty:
+            raise ValueError(
+                f"budget ({problem.budget.describe()}) allowed no "
+                f"evaluation"
+            )
+        return SearchOutcome(
+            strategy=self.strategy.name or type(self.strategy).__name__,
+            seed=self.seed,
+            best_partition=problem.best_partition,
+            best_cost=problem.best_cost,
+            n_evaluated=problem.n_evaluated,
+            n_packs=problem.n_packs,
+            n_gated=problem.n_gated,
+            n_steps=self.guard.steps,
+            elapsed_s=problem.budget.elapsed_s,
+            budget=problem.budget.describe(),
+            stalled=self.guard.stalled,
+            trace=tuple(problem.trace),
+        )
+
+
+def interleave(runs: Sequence[LaneRun], checkpoint=None, ledger=None,
+               incumbent=None) -> None:
+    """Step *runs* round-robin until every one is done.
+
+    One pass gives each live lane one step, in lane order, so the loop
+    is deterministic.  A lane is done when its budget is exhausted (its
+    own limit, the wall clock, or a shared ledger) or when it stalls —
+    :data:`STALL_LIMIT` consecutive steps without one paid evaluation,
+    the small-instance case where the whole reachable space is cached.
+    An unlimited budget is accepted; the lane then ends on the stall
+    guard alone.
+
+    With *checkpoint* (a
+    :class:`~repro.search.checkpoint.SearchCheckpoint`), the loop
+    resumes from the stored snapshot when one exists (the fingerprint
+    ties it to one run configuration), snapshots every
+    ``checkpoint.every`` passes, and once more when every lane is done,
+    so resuming a finished run is a no-op replay.  A snapshot holds the
+    shared *ledger*'s draw count, the shared *incumbent*, and every
+    lane's guard, done flag, strategy state and problem state.
+
+    A pass boundary is the only instant at which every lane sits
+    between steps, so a resumed loop replays the uninterrupted run's
+    trajectory.  An exception — ``KeyboardInterrupt`` included —
+    propagates without a snapshot: the last periodic one stands,
+    because state taken mid-step would diverge on resume.
+    """
+    def save() -> None:
+        checkpoint.save({
+            "ledger_taken": 0 if ledger is None else ledger.taken,
+            "incumbent": (
+                float("inf") if incumbent is None else incumbent.get()
+            ),
+            "lanes": [run.snapshot() for run in runs],
+        })
+
+    stored = checkpoint.load() if checkpoint is not None else None
+    if stored is not None:
+        if ledger is not None:
+            ledger.restore_taken(stored["ledger_taken"])
+        if incumbent is not None:
+            incumbent.offer(stored["incumbent"])
+        for run, kept in zip(runs, stored["lanes"]):
+            run.restore(kept)
+
+    passes = 0
+    live = [run for run in runs if not run.done]
+    while live:
+        for run in live:
+            run.advance()
+        passes += 1
+        if checkpoint is not None and passes % checkpoint.every == 0:
+            save()
+        live = [run for run in live if not run.done]
+    if checkpoint is not None:
+        save()
+
+
 def run_strategy(
     strategy: SearchStrategy,
     problem: SearchProblem,
@@ -335,107 +466,17 @@ def run_strategy(
 ) -> SearchOutcome:
     """Drive *strategy* on *problem* until its budget runs out.
 
-    The loop stops when the problem's budget is exhausted (checked
-    between steps, enforced mid-step by the problem), or when the
-    strategy stalls — :data:`STALL_LIMIT` consecutive steps without one
-    paid evaluation, the small-instance case where the whole reachable
-    space is already cached.
-
-    An unlimited budget is accepted — the run then ends on the stall
-    guard alone, which small instances reach quickly once every
-    partition the strategy can think of is cached.
+    The one-lane call of :func:`interleave` (which documents the stop
+    rules, the checkpoint layout, and the interrupt policy).
 
     :param allow_empty: tolerate a run with no improving evaluation
-        (see :func:`build_outcome`) — portfolio lanes whose shared
-        ledger was drained, or whose every candidate the shared
-        incumbent gate pruned, end this way legitimately.
+        (see :meth:`LaneRun.outcome`).
     :param checkpoint: optional
-        :class:`~repro.search.checkpoint.SearchCheckpoint`: the run
-        resumes from its stored state when one exists (the re-run must
-        use the same configuration — the checkpoint fingerprint
-        enforces it) and snapshots strategy + problem + budget every
-        ``checkpoint.every`` steps, so a killed run replays to the
-        same trajectory as an uninterrupted one.
+        :class:`~repro.search.checkpoint.SearchCheckpoint` to resume
+        from and snapshot to.
     :raises ValueError: (unless *allow_empty*) if the budget allowed
-        no evaluation at all (e.g. a wall-clock budget that expired
-        before the first step).
+        no evaluation at all.
     """
-    budget = problem.budget.start()
-    rng = random.Random(seed)
-    strategy.bind(problem, rng)
-    guard = StallGuard()
-    if checkpoint is not None:
-        stored = checkpoint.load()
-        if stored is not None:
-            problem.state_restore(stored["problem"])
-            strategy.state_restore(stored["strategy"])
-            guard.restore(stored)
-    guard.last_evaluated = problem.n_evaluated
-
-    def save() -> None:
-        checkpoint.save({
-            **guard.snapshot(),
-            "strategy": strategy.state_snapshot(),
-            "problem": problem.state_snapshot(),
-        })
-
-    try:
-        while not guard.stalled and not budget.exhausted:
-            strategy.step()
-            if guard.step(problem.n_evaluated):
-                break
-            if checkpoint is not None \
-                    and guard.steps % checkpoint.every == 0:
-                save()
-    except BudgetExhausted:
-        pass
-    if checkpoint is not None:
-        # final snapshot: resuming a finished run is a no-op replay
-        save()
-    return build_outcome(
-        strategy, problem, seed, guard.steps, guard.stalled,
-        allow_empty=allow_empty,
-    )
-
-
-def build_outcome(
-    strategy: SearchStrategy,
-    problem: SearchProblem,
-    seed: int,
-    steps: int,
-    stalled: bool,
-    allow_empty: bool = False,
-) -> SearchOutcome:
-    """Assemble the :class:`SearchOutcome` of a finished run.
-
-    Shared by :func:`run_strategy` and the portfolio lane drivers
-    (:mod:`repro.search.parallel`), so every run loop reports identical
-    accounting.
-
-    :param allow_empty: accept a run with no improving evaluation —
-        possible for a portfolio lane whose every candidate was pruned
-        by the *shared* incumbent gate — and report it with
-        ``best_partition None`` / infinite cost instead of raising.
-    :raises ValueError: (unless *allow_empty*) if the run produced no
-        usable evaluation at all (e.g. a wall-clock budget that
-        expired before the first step, or a shared ledger drained by
-        sibling lanes).
-    """
-    if problem.best_partition is None and not allow_empty:
-        raise ValueError(
-            f"budget ({problem.budget.describe()}) allowed no evaluation"
-        )
-    return SearchOutcome(
-        strategy=strategy.name or type(strategy).__name__,
-        seed=seed,
-        best_partition=problem.best_partition,
-        best_cost=problem.best_cost,
-        n_evaluated=problem.n_evaluated,
-        n_packs=problem.n_packs,
-        n_gated=problem.n_gated,
-        n_steps=steps,
-        elapsed_s=problem.budget.elapsed_s,
-        budget=problem.budget.describe(),
-        stalled=stalled,
-        trace=tuple(problem.trace),
-    )
+    run = LaneRun(strategy, problem, seed)
+    interleave([run], checkpoint)
+    return run.outcome(allow_empty)

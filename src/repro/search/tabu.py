@@ -22,10 +22,9 @@ class TabuSearch(BatchProposeStrategy):
     """Best-of-sample descent with a recency tabu list.
 
     One step's neighbor sample is independent, so it is exposed whole
-    through :meth:`~repro.search.strategy.SearchStrategy.propose_batch`
-    for parallel lanes; the aspiration reference (the incumbent cost)
-    is pinned at propose time so serial and batched runs take
-    identical trajectories.
+    through :meth:`~repro.search.strategy.SearchStrategy.propose_batch`;
+    the aspiration reference (the incumbent cost) is pinned at propose
+    time.
 
     :param tenure: how many recent incumbents stay tabu.
     :param samples: neighbors sampled per step.

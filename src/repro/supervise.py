@@ -59,6 +59,10 @@ _POLL_S = 0.01
 #: seconds to wait for a worker to exit cleanly before terminating it
 _JOIN_S = 5.0
 
+#: seconds an idle worker waits on its task queue before checking that
+#: the pool's owner is still alive
+_PARENT_POLL_S = 1.0
+
 
 def default_start_method() -> str:
     """``fork`` where available (fast, shares the warm evaluator code),
@@ -88,10 +92,21 @@ class PoolBroken(RuntimeError):
     in-process execution."""
 
 
-def _worker_main(task_queue, result_queue, initializer, initargs) -> None:
+def _worker_main(task_queue, result_queue, initializer, initargs,
+                 parent_pid: int | None) -> None:
     """Worker loop: run ``(task_id, fn, args)`` tuples until the
     ``None`` sentinel.  Exceptions are returned as tracebacks, never
-    raised — only a crash (or a kill) ends the loop early."""
+    raised — only a crash (or a kill) ends the loop early, and so does
+    the death of the pool's owner: a SIGKILLed owner sends no
+    sentinel, so an idle worker checks every :data:`_PARENT_POLL_S`
+    that its parent is still *parent_pid*.  The owner passes its own
+    pid, so an owner that dies while the worker is still starting is
+    noticed too.  ``None`` means the process that forked the worker:
+    a ``forkserver`` worker's parent is the fork server, which does
+    not exit while any of its workers holds its liveness pipe, so
+    ``forkserver`` workers still outlive a SIGKILLed owner."""
+    if parent_pid is None:
+        parent_pid = os.getppid()
     if initializer is not None:
         try:
             initializer(*initargs)
@@ -99,7 +114,15 @@ def _worker_main(task_queue, result_queue, initializer, initargs) -> None:
             result_queue.put(("__init__", False, traceback.format_exc()))
             return
     while True:
-        item = task_queue.get()
+        try:
+            item = task_queue.get(timeout=_PARENT_POLL_S)
+        except queue_mod.Empty:
+            if os.getppid() != parent_pid:
+                # nobody will read a result again: never block the
+                # exit on the queue's feeder thread
+                result_queue.cancel_join_thread()
+                return
+            continue
         if item is None:
             return
         task_id, fn, args = item
@@ -136,10 +159,12 @@ class _Worker:
         self.slot = slot
         self.task_queue = ctx.Queue()
         self.result_queue = ctx.Queue()
+        owner = (None if ctx.get_start_method() == "forkserver"
+                 else os.getpid())
         self.process = ctx.Process(
             target=_worker_main,
             args=(self.task_queue, self.result_queue, initializer,
-                  initargs),
+                  initargs, owner),
             daemon=True,
         )
         self.process.start()

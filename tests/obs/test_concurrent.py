@@ -14,6 +14,7 @@ on disk):
 
 import json
 import multiprocessing
+import sys
 import threading
 
 import pytest
@@ -63,6 +64,46 @@ class TestTornAndHalfWritten:
         assert view.best_cost is None
         assert view.counters == {}
         view.render()  # and the frame still renders
+
+
+class TestThreadedFlush:
+    def test_threads_flush_without_collision_or_loss(self, run_dir):
+        """``repro serve`` flushes from its event loop and from its job
+        executor thread: concurrent flushes of one process must never
+        share a temp file or drop a queued event.  More threads than
+        cores and a short switch interval make the interleavings
+        dense."""
+        st = obs.state()
+        st.registry.counter("flush.test").inc()  # metrics get written
+        tags, n = "abcd", 500
+        errors = []
+
+        def writer(tag):
+            try:
+                for i in range(n):
+                    st.emit("tick", tag=tag, i=i)
+                    st.flush()
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(tag,))
+                   for tag in tags]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        ticks = [(e["tag"], e["i"]) for e in obs.read_events(run_dir)
+                 if e["event"] == "tick"]
+        assert sorted(ticks) == [(tag, i) for tag in tags
+                                 for i in range(n)]
+        assert obs.aggregate(run_dir).counters["flush.test"] == 1
 
 
 class TestInterleavedWriterReader:

@@ -9,13 +9,33 @@ portfolio-level chaos behavior rides on top and is covered in
 
 import multiprocessing
 import os
+import select
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.supervise import PoolBroken, SupervisedPool, default_start_method
 
 FORK = "fork" in multiprocessing.get_all_start_methods()
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: a pool owner: reports its workers' pids — once they have served a
+#: task ("warm"), or right after starting them ("cold", so a spawn
+#: worker may still be booting when its owner dies) — then idles
+_OWNER = """
+import os, sys, time
+from repro.supervise import SupervisedPool
+pool = SupervisedPool(2, sys.argv[1])
+if sys.argv[2] == "warm":
+    pool.run_on_all(os.getpid)
+print(*(worker.process.pid for worker in pool._pool), flush=True)
+time.sleep(120)
+"""
 
 pytestmark = pytest.mark.skipif(not FORK, reason="needs the fork start method")
 
@@ -175,6 +195,46 @@ class TestSupervision:
             # the stale in-flight worker is replaced, not waited on
             out = run_all(pool, [(_double, (i,)) for i in range(3)])
         assert out == {i: (True, 2 * i) for i in range(3)}
+
+
+def _gone_or_zombie(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+class TestOrphanedWorkers:
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    @pytest.mark.parametrize("when", ["cold", "warm"])
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_workers_exit_after_owner_sigkill(self, start_method, when):
+        """A SIGKILLed owner sends no sentinel; its idle workers must
+        notice the re-parenting and exit instead of blocking forever
+        on their task queues."""
+        owner = subprocess.Popen(
+            [sys.executable, "-c", _OWNER, start_method, when],
+            stdout=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        try:
+            ready, _, _ = select.select([owner.stdout], [], [], 60)
+            pids = ([int(pid) for pid in owner.stdout.readline().split()]
+                    if ready else [])
+        finally:
+            owner.send_signal(signal.SIGKILL)
+            owner.wait(timeout=10)
+            owner.stdout.close()
+        assert len(pids) == 2
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline \
+                and not all(map(_gone_or_zombie, pids)):
+            time.sleep(0.1)
+        leftover = [pid for pid in pids if not _gone_or_zombie(pid)]
+        for pid in leftover:  # never leak them past a failure
+            os.kill(pid, signal.SIGKILL)
+        assert leftover == []
 
 
 class TestDefaultStartMethod:

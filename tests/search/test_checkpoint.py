@@ -10,6 +10,8 @@ portfolio.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import pickle
 
 import pytest
@@ -18,14 +20,16 @@ from repro import faults
 from repro.faults import FaultInjected
 from repro.search import (
     Lane,
+    PortfolioInterrupted,
     SearchCheckpoint,
+    SearchProblem,
     optimize,
     portfolio_search,
     registry,
     run_fingerprint,
 )
 
-from .conftest import quick_model
+from .conftest import QUICK, quick_model
 
 
 @pytest.fixture(autouse=True)
@@ -40,6 +44,24 @@ def trace_view(outcome):
     fields excluded, as documented on TracePoint)."""
     return [(p.n_evaluated, p.best_cost, p.partition)
             for p in outcome.trace]
+
+
+@contextlib.contextmanager
+def interrupt_at_evaluate(k):
+    """Raise ``KeyboardInterrupt`` from the *k*-th
+    ``SearchProblem.evaluate`` call (cached ones included) — a Ctrl-C
+    landing mid-step."""
+    original = SearchProblem.evaluate
+    calls = itertools.count(1)
+
+    def evaluate(self, partition):
+        if next(calls) == k:
+            raise KeyboardInterrupt
+        return original(self, partition)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SearchProblem, "evaluate", evaluate)
+        yield
 
 
 class TestRunFingerprint:
@@ -83,6 +105,16 @@ class TestSearchCheckpoint:
         path = tmp_path / "cp.pkl"
         path.write_bytes(pickle.dumps({"format": 999, "state": {}}))
         with pytest.raises(ValueError, match="format"):
+            SearchCheckpoint(path).load()
+
+    def test_format_1_snapshot_refused(self, tmp_path):
+        """Single-run snapshots of the old layout cannot resume under
+        the one lane-list layout."""
+        path = tmp_path / "cp.pkl"
+        path.write_bytes(pickle.dumps(
+            {"format": 1, "fingerprint": None, "state": {"steps": 4}}
+        ))
+        with pytest.raises(ValueError, match="format 1"):
             SearchCheckpoint(path).load()
 
 
@@ -155,3 +187,51 @@ class TestPortfolioCheckpoint:
                 budget=40,
                 checkpoint=SearchCheckpoint(tmp_path / "pf.pkl"),
             )
+
+
+class TestInterruptPolicy:
+    """A ``KeyboardInterrupt`` writes no snapshot: the last periodic
+    one (taken at a pass boundary) stands, so a resume from it replays
+    the uninterrupted trajectory wherever the interrupt landed."""
+
+    LANES = (Lane("anneal", 0), Lane("tabu", 0))
+
+    @pytest.mark.parametrize("k", [7, 41, 97, 160])
+    def test_inline_portfolio_resumes_after_interrupt(
+        self, k, tmp_path, big8_soc
+    ):
+        kwargs = dict(width=16, lanes=self.LANES, workers=1, budget=300,
+                      **QUICK)
+        reference = portfolio_search(big8_soc, **kwargs)
+
+        checkpoint = SearchCheckpoint(tmp_path / "pf.pkl", every=5)
+        with interrupt_at_evaluate(k):
+            with pytest.raises(PortfolioInterrupted):
+                portfolio_search(big8_soc, checkpoint=checkpoint,
+                                 **kwargs)
+        resumed = portfolio_search(big8_soc, checkpoint=checkpoint,
+                                   **kwargs)
+
+        assert [o.n_evaluated for o in resumed.outcomes] \
+            == [o.n_evaluated for o in reference.outcomes]
+        assert [o.n_steps for o in resumed.outcomes] \
+            == [o.n_steps for o in reference.outcomes]
+        assert [trace_view(o) for o in resumed.outcomes] \
+            == [trace_view(o) for o in reference.outcomes]
+
+    @pytest.mark.parametrize("k", [7, 41, 97])
+    def test_optimize_resumes_after_interrupt(self, k, tmp_path,
+                                              big8_soc):
+        kwargs = dict(width=16, strategy="tabu", max_evaluations=150,
+                      seed=0, **QUICK)
+        reference = optimize(big8_soc, **kwargs)
+
+        checkpoint = SearchCheckpoint(tmp_path / "cp.pkl", every=5)
+        with interrupt_at_evaluate(k):
+            with pytest.raises(KeyboardInterrupt):
+                optimize(big8_soc, checkpoint=checkpoint, **kwargs)
+        resumed = optimize(big8_soc, checkpoint=checkpoint, **kwargs)
+
+        assert resumed.n_evaluated == reference.n_evaluated
+        assert resumed.n_steps == reference.n_steps
+        assert trace_view(resumed) == trace_view(reference)

@@ -25,10 +25,9 @@ from repro.search import (
     optimize,
     portfolio_search,
     registry,
-    run_strategy,
 )
 
-from .conftest import QUICK, quick_model
+from .conftest import QUICK
 
 
 class TestLaneSlices:
@@ -218,62 +217,6 @@ class TestInlinePortfolio:
 
 
 class TestBatchedEvaluation:
-    @pytest.mark.parametrize("name", registry.strategy_names())
-    def test_batched_driver_matches_serial_without_gate(
-        self, big8_soc, name
-    ):
-        """propose_batch/evaluate_batch/observe_batch is the same
-        trajectory as the serial step loop (gate off: the batch
-        pins its gate reference at batch start, which is the one
-        sanctioned divergence)."""
-        import random
-
-        def costed(model):
-            def batch_cost(partitions):
-                out = []
-                for partition in partitions:
-                    before = model.evaluator.evaluations
-                    cost = model.total_cost(partition)
-                    out.append(
-                        (cost, model.evaluator.evaluations - before)
-                    )
-                return out
-            return batch_cost
-
-        serial_model = quick_model(big8_soc, width=16)
-        serial_problem = SearchProblem(
-            serial_model, Budget(max_evaluations=40), gate=False
-        )
-        serial = run_strategy(
-            registry.create(name), serial_problem, seed=5
-        )
-
-        batch_model = quick_model(big8_soc, width=16)
-        problem = SearchProblem(
-            batch_model, Budget(max_evaluations=40), gate=False,
-            batch_cost=costed(batch_model),
-        )
-        problem.budget.start()
-        strategy = registry.create(name)
-        strategy.bind(problem, random.Random(5))
-        try:
-            while not problem.budget.exhausted:
-                batch = strategy.propose_batch()
-                costs = problem.evaluate_batch(batch)
-                strategy.observe_batch(batch, costs)
-                if problem.n_evaluated >= 40:
-                    break
-        except BudgetExhausted:
-            pass
-
-        assert problem.best_cost == serial.best_cost
-        assert problem.best_partition == serial.best_partition
-        assert [
-            (p.n_evaluated, p.best_cost) for p in problem.trace
-        ] == [
-            (p.n_evaluated, p.best_cost) for p in serial.trace
-        ]
-
     def test_evaluate_batch_deduplicates_and_charges_once(
         self, big8_model
     ):
@@ -323,14 +266,43 @@ class TestMultiprocessPortfolio:
         )
         assert outcome.best_partition is not None
 
-    def test_eval_mode_fans_batches(self, big8_soc):
-        outcome = portfolio_search(
-            big8_soc, width=16, lanes=[Lane("genetic", 0)], workers=2,
-            budget=30, **QUICK,
-        )
-        assert outcome.mode == "evals"
+    def test_one_lane_runs_inline_without_a_pool(
+        self, big8_soc, monkeypatch
+    ):
+        """A worker without a lane would only idle, so a one-lane
+        portfolio spawns no pool and is the workers=1 run exactly."""
+        import repro.search.parallel as parallel
+
+        lanes = [Lane("genetic", 0)]
+        reference = portfolio_search(big8_soc, width=16, lanes=lanes,
+                                     workers=1, budget=30, **QUICK)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-lane portfolio spawned a pool")
+
+        monkeypatch.setattr(parallel, "PortfolioPool", no_pool)
+        outcome = portfolio_search(big8_soc, width=16, lanes=lanes,
+                                   workers=2, budget=30, **QUICK)
+        assert outcome.mode == "inline"
+        assert outcome.workers == 1
+        assert outcome.best_cost == reference.best_cost
+        assert outcome.best_partition == reference.best_partition
+        assert [
+            (o.n_evaluated, o.n_gated, o.n_steps,
+             [(p.n_evaluated, p.best_cost, p.partition) for p in o.trace])
+            for o in outcome.outcomes
+        ] == [
+            (o.n_evaluated, o.n_gated, o.n_steps,
+             [(p.n_evaluated, p.best_cost, p.partition) for p in o.trace])
+            for o in reference.outcomes
+        ]
+
+    def test_workers_capped_at_lane_count(self, big8_soc):
+        outcome = portfolio_search(big8_soc, width=16, lanes=3,
+                                   workers=4, budget=30, **QUICK)
+        assert outcome.mode == "lanes"
+        assert outcome.workers == 3
         assert outcome.n_evaluated <= 30
-        assert outcome.best_partition is not None
 
     def test_pool_reuse_across_searches(self, big8_soc):
         with PortfolioPool(2) as pool:

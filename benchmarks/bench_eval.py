@@ -11,13 +11,15 @@ trajectory for the schedule-evaluation hot path):
 * **throughput** — distinct sharing partitions of the ``big12m``
   stress preset are streamed through both engines at width 32.  Gate:
   the fast engine sustains >= 3x the seed engine's evaluations/sec.
+  The lower-bound gate (``cost_lower_bound``) over the same partitions
+  is recorded as ``gate_evals_per_s`` (information, no gate).
 * **search** — ``optimize --strategy all``-equivalent: every
   registered strategy races on one shared evaluator under an
   evaluation budget, fast+gated vs the pre-PR configuration
   (reference engine, no gate), same seeds.  Gates: the new engine's
   best cost is <= the pre-PR best and its wall-clock is strictly
-  smaller.  The gate skip rate and pack-context counters land in the
-  record.
+  smaller.  The gate skip rate, each strategy's wall-clock and the
+  pack-context counters land in the record.
 * **power** — the power-constrained workload family (``big12mp``,
   the stress preset with per-test ratings and a binding budget):
   fast-vs-seed parity on sampled partitions, every schedule's peak
@@ -134,11 +136,20 @@ def throughput_study(effort: str, n_partitions: int) -> dict:
     fast_s, fast_makespans, evaluator = run("fast")
     seed_s, seed_makespans, _ = run("reference")
     stats = evaluator.pack_stats
+    # the lower-bound gate over the same partitions, on a fresh model
+    # (only the all-sharing normalizer is packed beforehand)
+    model = _model(soc, STRESS_WIDTH, effort)
+    _ = model.all_share_makespan
+    started = time.perf_counter()
+    for partition in partitions:
+        model.cost_lower_bound(partition)
+    gate_s = time.perf_counter() - started
     return {
         "workload": STRESS_WORKLOAD,
         "width": STRESS_WIDTH,
         "n_partitions": len(partitions),
         "fast_evals_per_s": round(len(partitions) / fast_s, 2),
+        "gate_evals_per_s": round(len(partitions) / gate_s, 2),
         "seed_evals_per_s": round(len(partitions) / seed_s, 2),
         "speedup": round(seed_s / fast_s, 3),
         "parity": fast_makespans == seed_makespans,
@@ -177,6 +188,7 @@ def search_study(effort: str, budget: int) -> dict:
                 "new_best": round(new[name].best_cost, 4),
                 "old_best": round(old[name].best_cost, 4),
                 "n_gated": new[name].n_gated,
+                "new_wall_s": round(new[name].elapsed_s, 3),
             }
             for name in new
         },
@@ -398,7 +410,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"throughput ({throughput['workload']}): fast "
           f"{throughput['fast_evals_per_s']}/s vs seed "
           f"{throughput['seed_evals_per_s']}/s = "
-          f"{throughput['speedup']}x")
+          f"{throughput['speedup']}x; gate "
+          f"{throughput['gate_evals_per_s']}/s")
     print(f"search: best {search['new_best_cost']} vs pre-PR "
           f"{search['old_best_cost']} in {search['new_wall_s']}s vs "
           f"{search['old_wall_s']}s; gate skipped "

@@ -74,6 +74,9 @@ class AreaModel:
         groups raise from :meth:`group_area_mm2`.
     :param reference_distance: distance at which the positional beta
         saturates to 1.
+
+    :meth:`area_cost` memoizes each group's cost on first use, so the
+    fields must not change after construction.
     """
 
     cores: Sequence[AnalogCore]
@@ -101,6 +104,12 @@ class AreaModel:
         self._by_name = {core.name: core for core in self.cores}
         if len(self._by_name) != len(self.cores):
             raise ValueError("core names must be unique")
+        # the search prices the same few groups over and over: memoize,
+        # per group name tuple, its core bitmask and group_cost_mm2,
+        # filled on first use (failures are never stored)
+        self._bits = {name: 1 << i for i, name in enumerate(self._by_name)}
+        self._groups: dict[tuple[str, ...], tuple[int, float]] = {}
+        self._no_sharing: float | None = None
 
     def core(self, name: str) -> AnalogCore:
         """Look up a core by name.
@@ -119,7 +128,11 @@ class AreaModel:
     @property
     def no_sharing_area_mm2(self) -> float:
         """Total wrapper area with one private wrapper per core."""
-        return sum(self.core_area_mm2(core.name) for core in self.cores)
+        if self._no_sharing is None:
+            self._no_sharing = sum(
+                self.core_area_mm2(core.name) for core in self.cores
+            )
+        return self._no_sharing
 
     def group_beta(self, group: Sequence[str]) -> float:
         """Routing proximity factor for one wrapper group."""
@@ -168,14 +181,42 @@ class AreaModel:
         pushes it above — those combinations are the ones the paper says
         to discard.
         """
-        covered = sorted(name for group in partition for name in group)
+        groups = self._groups
+        try:
+            entries = [groups[group] for group in partition]
+        except KeyError:
+            entries = None
+        # _price runs the full coverage check, so a memoized partition
+        # that misses or repeats a core raises there
+        if entries is None or not self._covers(entries):
+            entries = self._price(partition)
+        total = sum([cost for _, cost in entries])
+        return 100.0 * total / self.no_sharing_area_mm2
+
+    def _covers(self, entries: list[tuple[int, float]]) -> bool:
+        """Whether memoized groups cover every core exactly once."""
+        covered = 0
+        for mask, _ in entries:
+            if covered & mask:
+                return False
+            covered |= mask
+        return covered == (1 << len(self._bits)) - 1
+
+    def _price(self, partition: Partition) -> list[tuple[int, float]]:
+        """Memo entries of *partition*'s groups; new groups are priced
+        only once the partition is known to cover every core."""
         expected = sorted(self._by_name)
-        if covered != expected:
+        if sorted(name for group in partition for name in group) \
+                != expected:
             raise ValueError(
                 f"partition {partition} does not cover cores {expected}"
             )
-        total = sum(self.group_cost_mm2(group) for group in partition)
-        return 100.0 * total / self.no_sharing_area_mm2
+        groups = self._groups
+        for group in partition:
+            if group not in groups:
+                mask = sum(self._bits[name] for name in group)
+                groups[group] = (mask, self.group_cost_mm2(group))
+        return [groups[group] for group in partition]
 
     def savings_cost(self, partition: Partition) -> float:
         """Alternative reading: normalized area *savings* (0..100).

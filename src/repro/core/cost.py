@@ -44,7 +44,7 @@ from ..tam.packing import PackContext, PackStats, pack
 from ..tam.schedule import Schedule
 from ..wrapper.pareto import ParetoCache
 from .area import AreaModel
-from .lower_bounds import normalized_lower_bound, true_lower_bound
+from .lower_bounds import normalized_lower_bound
 from .sharing import Partition, refines
 
 __all__ = ["CostWeights", "ScheduleEvaluator", "CostModel", "CostBreakdown"]
@@ -145,6 +145,12 @@ class ScheduleEvaluator:
         self._n_cores = len(soc.analog_cores)
         self._context: PackContext | None = None
         self._invariant_bound: int | None = None
+        # serialization bound: name -> cycles, and a memo of each
+        # group's serialized cycle sum (filled on first use)
+        self._cycles = {
+            core.name: core.total_cycles for core in soc.analog_cores
+        }
+        self._group_cycles: dict[tuple[str, ...], int] = {}
         #: number of actual packing runs performed (the paper's ``n``)
         self.evaluations = 0
         #: metering hook: called with the updated evaluation count
@@ -245,12 +251,23 @@ class ScheduleEvaluator:
         The partition-invariant bound (volume, critical-task, and —
         under a power budget — power-volume) combined with the
         busiest-wrapper serialization bound (Section 3); no scheduling
-        happens.  Not valid with ``include_self_test`` (BIST tasks add
-        serialized wrapper time the core-level bound does not see).
+        happens, and each group's serialized cycle sum is computed once
+        per evaluator.  Not valid with ``include_self_test`` (BIST
+        tasks add serialized wrapper time the core-level bound does
+        not see).
         """
+        memo = self._group_cycles
+        for group in partition:
+            if group not in memo:
+                try:
+                    memo[group] = sum(self._cycles[name] for name in group)
+                except KeyError as exc:
+                    raise ValueError(
+                        f"unknown analog core in group: {exc}"
+                    ) from exc
         return max(
             self.invariant_time_bound,
-            true_lower_bound(self.soc.analog_cores, partition),
+            max([memo[group] for group in partition]),
         )
 
     def _pack(self, partition: Partition) -> Schedule:
@@ -446,6 +463,8 @@ class CostModel:
         self._all_share: Partition = tuple(
             [tuple(sorted(core.name for core in soc.analog_cores))]
         )
+        # telemetry: resolved once, like the evaluator's (None = off)
+        self._obs = obs.state()
 
     @property
     def all_share_makespan(self) -> int:
@@ -505,10 +524,22 @@ class CostModel:
 
         Returns ``-inf`` (gates nothing) with ``include_self_test``:
         BIST tasks add per-wrapper serialized time the core-level
-        bound cannot see, which would break admissibility.
+        bound cannot see, which would break admissibility.  With
+        telemetry on, each bound computed is timed into the
+        ``span.gate`` histogram.
         """
         if self.evaluator.include_self_test:
             return float("-inf")
+        if self._obs is None:
+            return self._lower_bound(partition)
+        t0 = time.monotonic()
+        bound = self._lower_bound(partition)
+        self._obs.registry.histogram("span.gate").observe(
+            time.monotonic() - t0
+        )
+        return bound
+
+    def _lower_bound(self, partition: Partition) -> float:
         t_bound = (
             100.0
             * self.evaluator.makespan_lower_bound(partition)

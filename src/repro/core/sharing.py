@@ -54,16 +54,20 @@ Partition = tuple[tuple[str, ...], ...]
 
 def canonical(groups: Iterable[Iterable[str]]) -> Partition:
     """Canonical form: names sorted in groups, groups by (-size, names)."""
-    normalized = tuple(
-        tuple(sorted(group)) for group in groups if tuple(group)
-    )
-    seen: set[str] = set()
-    for group in normalized:
-        for name in group:
-            if name in seen:
-                raise ValueError(f"core {name!r} appears in two groups")
-            seen.add(name)
-    return tuple(sorted(normalized, key=lambda g: (-len(g), g)))
+    # one read per group, so one-shot iterators keep their cores
+    normalized = [tuple(sorted(group)) for group in groups]
+    normalized = [group for group in normalized if group]
+    if len(set().union(*normalized)) != sum(map(len, normalized)):
+        seen: set[str] = set()
+        for group in normalized:
+            for name in group:
+                if name in seen:
+                    raise ValueError(
+                        f"core {name!r} appears in two groups"
+                    )
+                seen.add(name)
+    normalized.sort(key=lambda g: (-len(g), g))
+    return tuple(normalized)
 
 
 def no_sharing(names: Sequence[str]) -> Partition:

@@ -29,7 +29,7 @@ def crossover(a: Partition, b: Partition, rng: random.Random) -> Partition:
     Since every core appears in both parents, the child always covers
     all cores — no repair step needed.
     """
-    pool = [list(group) for group in a] + [list(group) for group in b]
+    pool = [*a, *b]
     rng.shuffle(pool)
     assigned: set[str] = set()
     child: list[list[str]] = []

@@ -39,6 +39,11 @@ class TestCanonical:
         with pytest.raises(ValueError, match="two groups"):
             canonical([["A"], ["A", "B"]])
 
+    def test_reads_each_group_once(self):
+        # a one-shot iterator group keeps its cores
+        assert canonical([iter(["b", "a"]), ["c"]]) == (("a", "b"), ("c",))
+        assert canonical(iter([iter([]), iter(["a"])])) == (("a",),)
+
     def test_no_sharing_helper(self):
         assert no_sharing(("B", "A")) == (("A",), ("B",))
 

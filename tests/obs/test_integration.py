@@ -7,7 +7,8 @@ import pytest
 from repro import obs
 from repro.cli import main
 from repro.runner import expand_grid, run_sweep
-from repro.search import PortfolioPool
+from repro.search import PortfolioPool, optimize
+from repro.workloads import build
 
 
 class TestSweepTelemetry:
@@ -77,6 +78,22 @@ class TestPoolSpawnSpan:
         assert self.spawns(run_dir) == 1
 
 
+class TestGateSpan:
+    """The lower-bound gate is timed like packing: one ``span.gate``
+    observation per ``cost_lower_bound`` call."""
+
+    def test_optimize_times_every_gate_call(self, run_dir):
+        outcome = optimize(
+            build("big8m"), width=16, strategy="anneal",
+            max_evaluations=120, seed=0, shuffles=0,
+        )
+        obs.flush()
+        gate = obs.aggregate(run_dir).histograms["span.gate"]
+        assert outcome.n_gated > 0
+        assert outcome.n_gated <= gate["count"] <= outcome.n_evaluated
+        assert gate["total"] > 0
+
+
 class TestCliRunDir:
     @pytest.fixture()
     def smoke_run(self, tmp_path, capsys, monkeypatch):
@@ -110,6 +127,11 @@ class TestCliRunDir:
         assert "run: optimize" in out
         assert "gate-skip" in out
         assert "search.evaluations" in out
+        # the lower-bound gate is listed under span timings
+        timings = out.split("span timings", 1)[1]
+        assert any(
+            line.split()[:1] == ["gate"] for line in timings.splitlines()
+        )
 
     def test_report_on_missing_run_dir_is_a_cli_error(self, tmp_path,
                                                       capsys):

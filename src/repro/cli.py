@@ -621,10 +621,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pserve.add_argument(
         "--workers", type=int, default=1,
-        help=">= 2 runs sweep jobs in a supervised worker pool, "
-             "which buys crash isolation and --timeout, not "
-             "concurrency: the executor runs one job at a time; 1 "
-             "runs them in-process (default: 1)",
+        help=">= 2 runs served jobs (sweep and optimize) in a "
+             "supervised worker pool, which buys crash isolation and "
+             "--timeout, not concurrency: the executor runs one job "
+             "at a time; 1 runs them in-process (default: 1)",
     )
     pserve.add_argument(
         "--start-method", choices=("fork", "spawn", "forkserver"),
@@ -636,11 +636,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pserve.add_argument(
         "--timeout", dest="job_timeout", type=float, default=None,
-        metavar="S", help="per-job wall timeout on the pool path",
+        metavar="S",
+        help="per-job wall timeout with --workers >= 2: a hung job's "
+             "worker is killed and the job retried (an optimize job "
+             "resumes from its checkpoint)",
     )
     pserve.add_argument(
         "--retries", type=int, default=2,
-        help="supervised retries per pool job (default: 2)",
+        help="retries per job with --workers >= 2, after a timeout or "
+             "a worker crash (default: 2)",
     )
     pserve.add_argument(
         "--request-timeout", type=float, default=30.0, metavar="S",
@@ -972,8 +976,7 @@ def _run_optimize(args: argparse.Namespace) -> str:
     from .core.sharing import bell_number
     from .experiments.common import PACK_EFFORT
     from .reporting import write_jsonl
-    from .search import Budget, SearchProblem, run_strategy
-    from .search import registry as search_registry
+    from .search import optimize
 
     if args.smoke:
         if args.scenario is not None:
@@ -1094,13 +1097,11 @@ def _run_optimize(args: argparse.Namespace) -> str:
     ]
     outcomes = []
     for name in names:
-        problem = SearchProblem(model, Budget(
-            max_evaluations=budget, max_seconds=args.seconds,
-        ))
         try:
-            outcome = run_strategy(
-                search_registry.create(name), problem,
-                seed=args.search_seed, checkpoint=checkpoint,
+            outcome = optimize(
+                soc, strategy=name, max_evaluations=budget,
+                max_seconds=args.seconds, seed=args.search_seed,
+                model=model, checkpoint=checkpoint,
             )
         except ValueError as exc:
             # e.g. a wall-clock budget that expired before the first
@@ -1240,8 +1241,7 @@ def _run_profile(args: argparse.Namespace) -> str:
     from .core.cost import CostModel, ScheduleEvaluator
     from .core.sharing import representative_partitions
     from .experiments.common import PACK_EFFORT
-    from .search import Budget, SearchProblem, run_strategy
-    from .search import registry as search_registry
+    from .search import optimize
 
     if args.evals < 1:
         raise _CliError(f"--evals must be >= 1, got {args.evals}")
@@ -1301,12 +1301,10 @@ def _run_profile(args: argparse.Namespace) -> str:
             AreaModel(soc.analog_cores),
             evaluator=ScheduleEvaluator(soc, args.width, **pack_kwargs),
         )
-        problem = SearchProblem(
-            model, Budget(max_evaluations=args.budget)
-        )
         started = _time.perf_counter()
-        outcome = run_strategy(
-            search_registry.create("anneal"), problem, seed=0
+        outcome = optimize(
+            soc, strategy="anneal", max_evaluations=args.budget, seed=0,
+            model=model,
         )
         search_elapsed = _time.perf_counter() - started
         model.evaluator.publish_obs()

@@ -19,6 +19,9 @@ to the result and, when the sweep sets a ``trace_dir``, written as one
 JSONL file per job (via :mod:`repro.reporting`), so a sweep racing
 four strategies over a workload grid leaves a complete
 best-cost-vs-evaluations record behind even on warm cache hits.
+:func:`search_job` runs a search job down the same job → SOC → model
+path but returns the whole search outcome and takes a checkpoint; it
+is what ``repro serve`` runs for ``optimize`` jobs.
 
 Results stream back to the parent as they complete and are appended to
 a JSON-lines file immediately, so long sweeps are inspectable in
@@ -56,16 +59,17 @@ from ..core.sharing import (
     symmetry_reduce,
 )
 from ..reporting import append_jsonl, render_table, write_jsonl
-from ..search import Budget, SearchProblem, run_strategy
+from ..search import SearchCheckpoint, SearchOutcome, optimize
 from ..tam.packing import PackStats
-from ..search import registry as search_registry
 from ..soc import itc02
 from ..soc.model import DigitalCore, Soc
 from ..wrapper.pareto import ParetoCache, ParetoPoint, pareto_points
 from .cache import DiskCache, MemoCache, content_key
 from .jobs import JobResult, SweepJob
 
-__all__ = ["SweepResult", "run_sweep", "evaluate_job", "trace_path"]
+__all__ = [
+    "SweepResult", "run_sweep", "evaluate_job", "search_job", "trace_path",
+]
 
 #: Bump to invalidate every cached entry after a semantic change to the
 #: evaluation flow or the record layout.  v5: the cache key grows a
@@ -96,9 +100,13 @@ _SOC_MEMO: dict[tuple[str, int | None, str | None], Soc] = {}
 
 
 def _build_soc(
-    workload: str, seed: int | None, scenario: str | None = None
+    workload: str,
+    seed: int | None,
+    scenario: str | None = None,
+    power_budget: int | None = None,
 ) -> Soc:
-    """The (memoized) SOC of one workload or scenario grid cell."""
+    """The (memoized) SOC of one workload or scenario grid cell, under
+    *power_budget* when one is given."""
     key = (workload, seed, scenario)
     soc = _SOC_MEMO.get(key)
     if soc is None:
@@ -111,6 +119,10 @@ def _build_soc(
         if len(_SOC_MEMO) >= 64:  # a long-lived worker stays bounded
             _SOC_MEMO.clear()
         _SOC_MEMO[key] = soc
+    if power_budget is not None:
+        # applied before any digest, so a cache key sees the budget
+        # through the SOC content as well as the explicit job field
+        soc = soc.with_power_budget(power_budget)
     return soc
 
 
@@ -190,18 +202,63 @@ def _write_trace(trace_dir: str, job: SweepJob,
     write_jsonl(records, trace_path(trace_dir, job))
 
 
-def _run_search(model: CostModel, job: SweepJob):
-    """Run the job's anytime strategy; returns (result, trace records)."""
-    budget = Budget(max_evaluations=job.budget)
-    problem = SearchProblem(model, budget)
-    outcome = run_strategy(
-        search_registry.create(job.strategy), problem, seed=job.search_seed
+def _job_model(
+    job: SweepJob, soc: Soc, cache: MemoCache | None
+) -> tuple[CostModel, int, int]:
+    """The job's cost model over staircases seeded from *cache*;
+    returns ``(model, staircase hits, staircase misses)``."""
+    pareto, hits, misses = _primed_pareto(soc, job.width, cache)
+    evaluator = ScheduleEvaluator(
+        soc, job.width, pareto=pareto, **job.pack_kwargs
     )
-    context = {
-        "workload": job.workload, "width": job.width,
-        "wt": job.wt, "budget": job.budget,
-    }
-    return outcome.to_result(), outcome.trace_records(**context)
+    model = CostModel(
+        soc, job.width, CostWeights(time=job.wt, area=1.0 - job.wt),
+        AreaModel(soc.analog_cores), evaluator=evaluator,
+    )
+    return model, hits, misses
+
+
+def _search(
+    job: SweepJob,
+    soc: Soc,
+    model: CostModel,
+    checkpoint: SearchCheckpoint | None = None,
+) -> tuple[SearchOutcome, list[dict]]:
+    """Run the job's anytime strategy; returns (outcome, trace records)."""
+    outcome = optimize(
+        soc, strategy=job.strategy, max_evaluations=job.budget,
+        seed=job.search_seed, model=model, checkpoint=checkpoint,
+    )
+    return outcome, outcome.trace_records(
+        workload=job.workload, width=job.width, wt=job.wt,
+        budget=job.budget,
+    )
+
+
+def search_job(
+    job: SweepJob,
+    cache_dir: str | None = None,
+    trace_dir: str | None = None,
+    checkpoint: SearchCheckpoint | None = None,
+) -> SearchOutcome:
+    """Run one strategy job's search (in the current process).
+
+    The served ``optimize`` unit of work: unlike :func:`evaluate_job`
+    it returns the whole :class:`~repro.search.SearchOutcome` (gated
+    count, stall flag, trace) and resumes from — and keeps
+    snapshotting to — *checkpoint*.  It never answers from the job
+    result cache, but staircases still come from (and fill) the cache
+    under *cache_dir*; with *trace_dir* the anytime trace is written to
+    ``trace_path(trace_dir, job)``.
+    """
+    cache = MemoCache(DiskCache(cache_dir)) if cache_dir else None
+    soc = _build_soc(job.workload, job.seed, job.scenario, job.power_budget)
+    model, _, _ = _job_model(job, soc, cache)
+    outcome, trace = _search(job, soc, model, checkpoint)
+    if trace_dir is not None:
+        _write_trace(trace_dir, job, trace)
+    _publish_job_obs(cache, evaluator=model.evaluator, job=job)
+    return outcome
 
 
 def evaluate_job(
@@ -226,11 +283,7 @@ def evaluate_job(
     """
     started = time.perf_counter()
     cache = MemoCache(DiskCache(cache_dir)) if cache_dir else None
-    soc = _build_soc(job.workload, job.seed, job.scenario)
-    if job.power_budget is not None:
-        # applied before the digest so the cache key sees the budget
-        # through the SOC content as well as the explicit job field
-        soc = soc.with_power_budget(job.power_budget)
+    soc = _build_soc(job.workload, job.seed, job.scenario, job.power_budget)
 
     job_key = None
     if cache is not None:
@@ -253,18 +306,12 @@ def evaluate_job(
                 cache_stats=cache.stats(),
             )
 
-    pareto, stair_hits, stair_misses = _primed_pareto(soc, job.width, cache)
-    weights = CostWeights(time=job.wt, area=1.0 - job.wt)
-    evaluator = ScheduleEvaluator(
-        soc, job.width, pareto=pareto, **job.pack_kwargs
-    )
-    model = CostModel(
-        soc, job.width, weights, AreaModel(soc.analog_cores),
-        evaluator=evaluator,
-    )
+    model, stair_hits, stair_misses = _job_model(job, soc, cache)
+    evaluator = model.evaluator
     trace: list[dict] = []
     if job.strategy:
-        outcome, trace = _run_search(model, job)
+        search, trace = _search(job, soc, model)
+        outcome = search.to_result()
     else:
         if soc.n_analog > MAX_ENUMERABLE_ANALOG:
             raise ValueError(

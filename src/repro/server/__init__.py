@@ -21,7 +21,6 @@ from .journal import JobJournal, ReplayedJob
 from .protocol import (
     JOB_KINDS,
     JobSpec,
-    OptimizeParams,
     canonical_json,
     stable_optimize_result,
     stable_sweep_result,
@@ -36,7 +35,6 @@ __all__ = [
     "JobJournal",
     "JobQueue",
     "JobSpec",
-    "OptimizeParams",
     "QueueFull",
     "QuotaTable",
     "ReplayedJob",

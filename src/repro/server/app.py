@@ -6,7 +6,8 @@
 * ``POST /submit``   — admit/coalesce a job (202, ticket)
 * ``GET  /status``   — job state (``?job_id=`` or ``/status/<id>``)
 * ``GET  /result``   — the persisted result record once done
-* ``GET  /trace``    — the job's anytime trace (optimize jobs)
+* ``GET  /trace``    — the job's anytime trace (optimize jobs and
+  sweep jobs with a strategy)
 * ``GET  /healthz``  — liveness + queue snapshot
 * ``POST /drain``    — begin graceful shutdown (also SIGTERM/SIGINT)
 
@@ -20,7 +21,9 @@ The run directory doubles as the server's telemetry run dir:
 ``status.json`` moves atomically through ``serving`` → ``draining`` →
 ``stopped`` (so ``repro watch`` can sit on a live server), obs spools
 flush periodically and aggregate on exit, and every finished job
-leaves a ledger-foldable run dir under ``jobs/``.
+leaves a ledger-foldable run dir under ``jobs/``.  With a worker pool
+(``--workers``) every job runs in a worker, so ``--timeout`` and
+``--retries`` bound optimize jobs as well as sweep jobs.
 
 Fault site ``server`` fires per request — ``crash@server:N`` and
 ``flaky@server:N`` exercise client retry behaviour end-to-end.

@@ -3,14 +3,15 @@
 A :class:`JobSpec` describes one unit of served work — a single sweep
 cell (kind ``"sweep"``, the parameters of a
 :class:`~repro.runner.jobs.SweepJob`) or a budgeted anytime search
-(kind ``"optimize"``).  Specs are **canonicalized at admission**: the
-submitted parameter dict is round-tripped through the corresponding
-frozen dataclass so every default is filled in, and the job key is the
-SHA-256 content hash of the canonical form (under the runner's
-``CACHE_VERSION``, the same versioning discipline as the disk cache).
-Two submissions that *mean* the same job therefore always hash to the
-same key — which is what request coalescing and idempotent client
-resubmits key on.
+(kind ``"optimize"``: a strategy ``SweepJob`` limited to the search
+knobs, defaulting to ``anneal`` under 200 evaluations).  Specs are
+**canonicalized at admission**: the submitted parameter dict is
+round-tripped through :class:`SweepJob` so every default is filled
+in, and the job key is the SHA-256 content hash of the canonical form
+(under the runner's ``CACHE_VERSION``, the same versioning discipline
+as the disk cache).  Two submissions that *mean* the same job
+therefore always hash to the same key — which is what request
+coalescing and idempotent client resubmits key on.
 
 Results split into a **stable** record and runtime metadata.  The
 stable record holds only fields that are a pure function of the spec
@@ -24,7 +25,7 @@ retry counts) rides separately in the result's ``meta``.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from ..runner.cache import content_key
 from ..runner.jobs import JobResult, SweepJob
@@ -32,7 +33,6 @@ from ..runner.jobs import JobResult, SweepJob
 __all__ = [
     "JOB_KINDS",
     "JobSpec",
-    "OptimizeParams",
     "canonical_json",
     "stable_optimize_result",
     "stable_sweep_result",
@@ -63,79 +63,27 @@ def canonical_json(payload: object) -> str:
     )
 
 
-@dataclass(frozen=True)
-class OptimizeParams:
-    """Canonical parameters of an ``optimize``-kind job.
+#: The wire parameters of an ``optimize`` job, in canonical order.  An
+#: optimize job *is* a strategy :class:`SweepJob`; the paper-flow and
+#: packer-override knobs stay sweep-only.
+_OPTIMIZE_KEYS = (
+    "workload", "width", "strategy", "budget", "wt", "seed",
+    "search_seed", "power_budget", "effort", "scenario",
+)
 
-    Mirrors the knobs of :func:`repro.search.optimize` (plus the
-    workload axis); validation happens in ``__post_init__`` so a bad
-    submission is rejected at admission, never inside the executor.
 
-    ``scenario`` carries a canonical scenario document
-    (:mod:`repro.schema`) instead of naming a registry preset; it is
-    canonicalized exactly like :class:`~repro.runner.jobs.SweepJob`'s
-    field, so differently-formatted texts of one scenario coalesce.
-    """
-
-    workload: str = ""
-    width: int = 32
-    strategy: str = "anneal"
-    budget: int = 200
-    wt: float = 0.5
-    seed: int | None = None
-    search_seed: int = 0
-    power_budget: int | None = None
-    effort: str = "medium"
-    scenario: str | None = None
-
-    def __post_init__(self) -> None:
-        from ..experiments.common import PACK_EFFORT
-        from ..search import registry as search_registry
-
-        if self.scenario is not None:
-            from .. import schema
-
-            doc, canonical = schema.canonical_scenario(self.scenario)
-            object.__setattr__(self, "scenario", canonical)
-            if self.seed is not None:
-                raise ValueError(
-                    "scenario jobs take no workload seed (the document "
-                    "already fixes the SOC)"
-                )
-            if not self.workload:
-                object.__setattr__(self, "workload", doc.name)
-            elif self.workload != doc.name:
-                raise ValueError(
-                    f"workload {self.workload!r} does not match the "
-                    f"scenario document name {doc.name!r}"
-                )
-        elif not self.workload:
-            raise ValueError(
-                "a workload name or a scenario document is required"
-            )
-        if self.width < 1:
-            raise ValueError(f"width must be >= 1, got {self.width}")
-        if not 0 <= self.wt <= 1:
-            raise ValueError(f"wt must lie in [0, 1], got {self.wt}")
-        if self.budget < 1:
-            raise ValueError(f"budget must be >= 1, got {self.budget}")
-        if self.effort not in PACK_EFFORT:
-            raise ValueError(
-                f"unknown effort {self.effort!r}, pick from "
-                f"{sorted(PACK_EFFORT)}"
-            )
-        if self.strategy not in search_registry.strategy_names():
-            raise ValueError(
-                f"unknown strategy {self.strategy!r}, pick from "
-                f"{', '.join(search_registry.strategy_names())}"
-            )
-        if self.power_budget is not None and self.power_budget < 1:
-            raise ValueError(
-                f"power_budget must be >= 1, got {self.power_budget}"
-            )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+def _optimize_params(params: dict) -> dict:
+    """Validate an ``optimize`` submission as a strategy
+    :class:`SweepJob`; returns its canonical wire parameters."""
+    unknown = sorted(set(params) - set(_OPTIMIZE_KEYS))
+    if unknown:
+        raise ValueError(
+            f"unknown optimize parameter(s): {', '.join(unknown)}"
+        )
+    job = SweepJob(**{"strategy": "anneal", "budget": 200, **params})
+    if not job.strategy:
+        raise ValueError("optimize jobs need a strategy")
+    return {key: getattr(job, key) for key in _OPTIMIZE_KEYS}
 
 
 @dataclass(frozen=True)
@@ -170,7 +118,7 @@ class JobSpec:
             if kind == "sweep":
                 canonical = SweepJob(**params).to_dict()
             else:
-                canonical = OptimizeParams(**params).to_dict()
+                canonical = _optimize_params(params)
         except TypeError as exc:
             # unknown/missing keyword — surface it as bad input, not a
             # server traceback
@@ -203,11 +151,9 @@ class JobSpec:
         workload = params.pop("workload")
         seed = params.pop("seed", None)
         scenario = params.pop("scenario", None)
-        soc = _build_soc(workload, seed, scenario)
-        if params.get("power_budget") is not None:
-            # mirrored from the engine: the digest sees the effective
-            # budget, the explicit field stays in params
-            soc = soc.with_power_budget(params["power_budget"])
+        # as in the engine, the digest sees the effective power budget
+        # while the explicit field stays in params
+        soc = _build_soc(workload, seed, scenario, params.get("power_budget"))
         return content_key({
             "kind": f"server-{self.kind}",
             "v": CACHE_VERSION,
@@ -216,16 +162,14 @@ class JobSpec:
         })
 
     def to_sweep_job(self) -> SweepJob:
-        """The :class:`SweepJob` of a ``sweep``-kind spec."""
-        if self.kind != "sweep":
-            raise ValueError(f"not a sweep job: kind={self.kind!r}")
+        """The :class:`SweepJob` this spec runs (either kind)."""
         return SweepJob(**self.params)
 
-    def to_optimize_params(self) -> OptimizeParams:
-        """The :class:`OptimizeParams` of an ``optimize``-kind spec."""
+    def to_optimize_params(self) -> SweepJob:
+        """The strategy :class:`SweepJob` of an ``optimize``-kind spec."""
         if self.kind != "optimize":
             raise ValueError(f"not an optimize job: kind={self.kind!r}")
-        return OptimizeParams(**self.params)
+        return self.to_sweep_job()
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "params": dict(self.params)}

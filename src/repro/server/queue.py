@@ -11,15 +11,16 @@ The queue owns the full job lifecycle behind the HTTP surface:
   dropping.
 * **Execution**: a single executor thread drains the FIFO.  One job at
   a time keeps replay deterministic (admission order = execution
-  order) and the results byte-identical across crash/restart.  Sweep
-  jobs dispatch onto a :class:`~repro.supervise.SupervisedPool` when
-  one is configured — a crashing evaluation kills a *worker*, not the
-  server, and a hung one is killed at its timeout — and degrade to
-  in-process execution on :class:`~repro.supervise.PoolBroken` (the
-  ``pool.degraded`` path).  The pool buys that isolation, not
-  concurrency: it still runs one job at a time.  Optimize jobs run
-  in-process under a :class:`~repro.search.checkpoint.SearchCheckpoint`,
-  so a killed server resumes them from the last snapshot instead of
+  order) and the results byte-identical across crash/restart.  Jobs of
+  both kinds dispatch onto a :class:`~repro.supervise.SupervisedPool`
+  when one is configured — a crashing evaluation kills a *worker*, not
+  the server, and a hung one is killed at its timeout and retried —
+  and degrade to in-process execution on
+  :class:`~repro.supervise.PoolBroken` (the ``pool.degraded`` path).
+  The pool buys that isolation, not concurrency: it still runs one job
+  at a time.  Optimize jobs run under a
+  :class:`~repro.search.checkpoint.SearchCheckpoint`, so a killed
+  server or worker resumes them from the last snapshot instead of
   restarting.
 * **Recovery** (:meth:`JobQueue.start`): the journal replays, finished
   jobs come back ``done`` (results are on disk), and everything that
@@ -36,7 +37,6 @@ completed, the exact window the exactly-once guarantee covers.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 import traceback
@@ -46,8 +46,12 @@ from pathlib import Path
 from .. import faults, obs
 from ..obs.manifest import RunManifest
 from ..obs.metrics import MetricsRegistry
-from ..runner.engine import CACHE_VERSION, evaluate_job
-from ..runner.jobs import JobResult
+from ..runner.engine import (
+    CACHE_VERSION,
+    evaluate_job,
+    search_job,
+    trace_path,
+)
 from ..search.checkpoint import SearchCheckpoint, run_fingerprint
 from ..supervise import PoolBroken
 from .journal import JobJournal, _atomic_write_json
@@ -332,10 +336,7 @@ class JobQueue:
             # the failed path below instead)
             faults.hit("queue")
             self.journal.started(job_id, record.attempts)
-            if record.spec.kind == "sweep":
-                stable, meta = self._run_sweep_job(record)
-            else:
-                stable, meta = self._run_optimize_job(record)
+            stable, meta = self._run_job(record)
         except BaseException as exc:  # includes pool plumbing failures
             error = f"{type(exc).__name__}: {exc}"
             self.journal.failed(job_id, error)
@@ -364,14 +365,36 @@ class JobQueue:
         obs.counter("queue.completed")
         obs.event("queue.job_done", job_id=job_id, kind=record.spec.kind)
 
-    # -- job kinds -----------------------------------------------------
+    # -- jobs ----------------------------------------------------------
 
-    def _run_sweep_job(self, record: _JobRecord) -> tuple[dict, dict]:
+    def _run_job(self, record: _JobRecord) -> tuple[dict, dict]:
+        """Run one job of either kind; returns ``(stable, meta)``.
+
+        Sweep jobs run :func:`~repro.runner.engine.evaluate_job`,
+        optimize jobs :func:`~repro.runner.engine.search_job` under a
+        checkpoint.  Either goes to the pool when one is configured —
+        isolated, bounded by the timeout, retried — and runs in this
+        thread otherwise, or once the pool broke.
+        """
         spec = record.spec
         job = spec.to_sweep_job()
         job_dir = self._prepare_job_dir(record)
-        trace_dir = str(job_dir)
-        result: JobResult | None = None
+        if spec.kind == "sweep":
+            task = (evaluate_job, (job, self.cache_dir, str(job_dir)))
+        else:
+            # fingerprint ties the checkpoint to this exact spec: a
+            # stale snapshot from a different configuration refuses
+            # to load
+            checkpoint = SearchCheckpoint(
+                self.root / CHECKPOINTS_DIR / f"{record.job_id}.ckpt",
+                every=self.checkpoint_every,
+                fingerprint=run_fingerprint({
+                    "server-optimize": spec.params, "v": CACHE_VERSION,
+                }),
+            )
+            task = (search_job,
+                    (job, self.cache_dir, str(job_dir), checkpoint))
+        value = None
         retries = 0
 
         if self.pool is not None and not self._degraded:
@@ -381,101 +404,54 @@ class JobQueue:
 
             try:
                 for _index, ok, value in self.pool.run_tasks(
-                    [(evaluate_job, (job, self.cache_dir, trace_dir))],
+                    [task],
                     timeout_s=self.timeout_s,
                     max_retries=self.max_retries,
                     on_retry=_tally,
                 ):
                     if not ok:
                         raise RuntimeError(f"job quarantined: {value}")
-                    result = value
             except (PoolBroken, OSError) as exc:
                 # same degradation contract as the sweep engine: the
-                # pool is gone, the work is not — run it here
+                # pool is gone, the work is not — run it here (an
+                # optimize job resumes from its checkpoint)
                 self._degraded = True
                 obs.event(
                     "pool.degraded", where="server.queue",
                     error=f"{type(exc).__name__}: {exc}",
                 )
-        if result is None:
-            result = evaluate_job(
-                job, cache_dir=self.cache_dir, trace_dir=trace_dir
-            )
+        if value is None:
+            fn, args = task
+            value = fn(*args)
         record.retries = retries
-        stable = stable_sweep_result(spec, result)
-        if result.status != "ok":
-            raise RuntimeError(result.error or "job failed")
+        if job.strategy:
+            # one trace name per job dir, whichever kind ran the search
+            named = Path(trace_path(str(job_dir), job))
+            if named.exists():
+                named.replace(self.trace_path(record.job_id))
         meta = {
-            "cache_hit": result.cache_hit,
             "retries": retries,
             "attempts": record.attempts,
             "degraded": self._degraded,
         }
+        if spec.kind == "sweep":
+            stable = stable_sweep_result(spec, value)
+            if value.status != "ok":
+                raise RuntimeError(value.error or "job failed")
+            meta["cache_hit"] = value.cache_hit
+            counters = {"search.evaluations": value.n_evaluated}
+        else:
+            # the search finished — the snapshot has served its purpose
+            checkpoint.path.unlink(missing_ok=True)
+            stable = stable_optimize_result(spec, value)
+            meta.update(n_packs=value.n_packs, n_steps=value.n_steps)
+            counters = {
+                "search.evaluations": value.n_evaluated,
+                "search.gated": value.n_gated,
+            }
         self._write_job_metrics(
-            job_dir,
-            **{
-                "search.evaluations": result.n_evaluated,
-                "job.retries": retries,
-            },
+            job_dir, **counters, **{"job.retries": retries}
         )
-        return stable, meta
-
-    def _run_optimize_job(self, record: _JobRecord) -> tuple[dict, dict]:
-        from ..experiments.common import PACK_EFFORT
-        from ..runner.engine import _build_soc
-        from ..search import optimize
-
-        spec = record.spec
-        params = spec.to_optimize_params()
-        job_dir = self._prepare_job_dir(record)
-
-        soc = _build_soc(params.workload, params.seed, params.scenario)
-        if params.power_budget is not None:
-            soc = soc.with_power_budget(params.power_budget)
-        # fingerprint ties the checkpoint to this exact spec: a stale
-        # snapshot from a different configuration refuses to load
-        checkpoint = SearchCheckpoint(
-            self.root / CHECKPOINTS_DIR / f"{record.job_id}.ckpt",
-            every=self.checkpoint_every,
-            fingerprint=run_fingerprint({
-                "server-optimize": spec.params, "v": CACHE_VERSION,
-            }),
-        )
-        outcome = optimize(
-            soc,
-            width=params.width,
-            strategy=params.strategy,
-            max_evaluations=params.budget,
-            wt=params.wt,
-            seed=params.search_seed,
-            checkpoint=checkpoint,
-            **PACK_EFFORT[params.effort],
-        )
-        self.trace_path(record.job_id).write_text(
-            "".join(
-                json.dumps(line, sort_keys=True) + "\n"
-                for line in outcome.trace_records(
-                    workload=params.workload, width=params.width,
-                )
-            ),
-            encoding="utf-8",
-        )
-        self._write_job_metrics(
-            job_dir,
-            **{
-                "search.evaluations": outcome.n_evaluated,
-                "search.gated": outcome.n_gated,
-            },
-        )
-        # the search finished — the snapshot has served its purpose
-        checkpoint.path.unlink(missing_ok=True)
-        stable = stable_optimize_result(spec, outcome)
-        meta = {
-            "attempts": record.attempts,
-            "retries": 0,
-            "n_packs": outcome.n_packs,
-            "n_steps": outcome.n_steps,
-        }
         return stable, meta
 
     # -- per-job run dirs ---------------------------------------------

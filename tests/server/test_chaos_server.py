@@ -1,9 +1,10 @@
 """Chaos tests: a real served process killed and revived.
 
 Each test runs ``repro serve`` as a subprocess, injures it for real —
-``SIGKILL`` mid-queue, a ``crash@eval`` self-kill mid-optimize,
-``SIGTERM`` mid-serve — restarts it on the same directory, and asserts
-the crash-durability contract: every accepted job completes **exactly
+``SIGKILL`` mid-queue, a ``crash@eval`` self-kill mid-optimize, a
+``hang@eval`` worker past ``--timeout``, ``SIGTERM`` mid-serve —
+restarts it (or the job) on the same directory, and asserts the
+crash-durability contract: every accepted job completes **exactly
 once** with results **byte-identical** to an uninterrupted run.
 """
 
@@ -180,6 +181,41 @@ class TestCrashMidOptimize:
             assert canonical_json(body["stable"]) == reference[job_id]
             assert done_events(root) == [job_id]
             assert not ckpt.exists()  # consumed and cleaned up
+        finally:
+            os.kill(proc.pid, signal.SIGTERM)
+            assert proc.wait(timeout=60) == 0
+
+
+class TestHungOptimizeTimeout:
+    #: seconds: a few above the job's normal run time, including a
+    #: spawn worker's start-up
+    TIMEOUT_S = 8
+
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    def test_hung_optimize_is_killed_and_retried(
+        self, tmp_path, start_method
+    ):
+        kind, params = OPTS[0]
+        reference = reference_results(tmp_path / "ref", [OPTS[0]])
+
+        # the 20th paid evaluation hangs (once across all processes),
+        # well after a 5-step checkpoint snapshot is on disk
+        markers = tmp_path / "markers"
+        markers.mkdir()
+        root = tmp_path / "srv"
+        proc = start_server(
+            root, "--workers", "2", "--start-method", start_method,
+            "--timeout", str(self.TIMEOUT_S), "--checkpoint-every", "5",
+            faults_spec=f"dir={markers};hang@eval:20:600",
+        )
+        try:
+            client = ReproClient.from_server_dir(root)
+            job_id = client.submit(kind, params).job_id
+            body = client.wait_result(job_id, deadline_s=60)
+            assert list(markers.iterdir()), "the hang never fired"
+            assert canonical_json(body["stable"]) == reference[job_id]
+            assert body["meta"]["retries"] == 1
+            assert not (root / "checkpoints" / f"{job_id}.ckpt").exists()
         finally:
             os.kill(proc.pid, signal.SIGTERM)
             assert proc.wait(timeout=60) == 0

@@ -47,6 +47,45 @@ class TestCanonicalization:
         assert again.job_key == spec.job_key
 
 
+class TestOptimizeWireFormat:
+    """The optimize wire format is frozen: canonical keys, defaults and
+    job keys (``CACHE_VERSION`` 5) must not move."""
+
+    @pytest.mark.parametrize("params, key", [
+        ({"workload": "mini"},
+         "4448ed8775667275c4b458faff40b7d10858eadf63c22a7db49eb2a6da28ab09"),
+        ({"workload": "big8m", "width": 8, "strategy": "anneal",
+          "budget": 60, "effort": "quick"},
+         "da97ff5306477e4a1dde486c7500d646a2f6ff8a24fab8978a7bb8097edb4d4b"),
+        ({"workload": "big12mp", "power_budget": 113, "strategy": "tabu",
+          "budget": 100, "search_seed": 3, "wt": 0.3},
+         "e250c06b52b42af71042ea56137c072a41e79a399fabea2a5687ea4940e85377"),
+    ])
+    def test_job_keys_are_pinned(self, params, key):
+        assert JobSpec.create("optimize", params).job_key == key
+
+    def test_canonical_keys_and_defaults(self):
+        spec = JobSpec.create("optimize", {"workload": "mini"})
+        assert spec.params == {
+            "workload": "mini", "width": 32, "strategy": "anneal",
+            "budget": 200, "wt": 0.5, "seed": None, "search_seed": 0,
+            "power_budget": None, "effort": "medium", "scenario": None,
+        }
+        assert list(spec.params) == [
+            "workload", "width", "strategy", "budget", "wt", "seed",
+            "search_seed", "power_budget", "effort", "scenario",
+        ]
+
+    def test_optimize_request_is_a_strategy_sweep_job(self):
+        spec = JobSpec.create(
+            "optimize", {"workload": "mini", "strategy": "tabu"}
+        )
+        job = spec.to_optimize_params()
+        assert isinstance(job, SweepJob)
+        assert job == spec.to_sweep_job()
+        assert (job.strategy, job.budget) == ("tabu", 200)
+
+
 class TestValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown job kind"):
@@ -80,6 +119,14 @@ class TestValidation:
             JobSpec.create(
                 "optimize", {"workload": "mini", "strategy": "magic"}
             )
+        with pytest.raises(ValueError, match="strategy"):
+            JobSpec.create("optimize", {"workload": "mini", "strategy": ""})
+        # the paper-flow and packer knobs are sweep-only
+        for key, value in (("delta", 0.1), ("exhaustive", True),
+                           ("shuffles", 2), ("improvement_passes", 1),
+                           ("bogus", 1)):
+            with pytest.raises(ValueError, match=key):
+                JobSpec.create("optimize", {"workload": "mini", key: value})
 
     def test_non_dict_params(self):
         with pytest.raises(ValueError, match="object"):

@@ -277,3 +277,58 @@ class TestOptimizeCheckpoints:
         ) == canonical_json(revived.result(job_id)["stable"])
         # checkpoint cleaned up after completion
         assert not ckpt.exists()
+
+
+class TestServedSearches:
+    def test_sweep_strategy_job_serves_its_trace(self, tmp_path):
+        # GET /trace reads jobs/<id>/trace.jsonl for either kind
+        spec = JobSpec.create("sweep", {
+            "workload": "big8m", "width": 8, "strategy": "anneal",
+            "budget": 20, "effort": "quick",
+        })
+        for name in ("cold", "warm"):  # the warm run is a cache hit
+            queue = JobQueue(tmp_path / name, cache_dir=tmp_path / "c")
+            queue.start()
+            try:
+                job_id = queue.submit(spec).job_id
+                assert wait_done(queue, [job_id]) == ["done"]
+                record = queue.result(job_id)
+                assert record["meta"]["cache_hit"] == (name == "warm")
+                lines = queue.trace_path(job_id).read_text().splitlines()
+                assert lines
+                assert json.loads(lines[-1])["best_cost"] == \
+                    record["stable"]["total_cost"]
+                assert sorted(p.name for p in queue.job_dir(job_id)
+                              .glob("*.jsonl")) == ["trace.jsonl"]
+            finally:
+                queue.drain(10)
+
+    def test_optimize_job_on_the_pool_matches_inline(self, tmp_path):
+        from repro.supervise import SupervisedPool
+
+        spec = JobSpec.create("optimize", OPT | {"workload": "big8m"})
+        inline = JobQueue(tmp_path / "inline")
+        inline.start()
+        job_id = inline.submit(spec).job_id
+        wait_done(inline, [job_id])
+        inline.drain(10)
+
+        with SupervisedPool(2) as pool:
+            pooled = JobQueue(tmp_path / "pooled", pool=pool,
+                              cache_dir=tmp_path / "cache",
+                              timeout_s=60)
+            pooled.start()
+            assert pooled.submit(spec).job_id == job_id
+            wait_done(pooled, [job_id])
+            pooled.drain(10)
+        record = pooled.result(job_id)
+        assert canonical_json(record["stable"]) == canonical_json(
+            inline.result(job_id)["stable"]
+        )
+        assert record["meta"]["retries"] == 0
+        assert not record["meta"]["degraded"]
+        assert pooled.trace_path(job_id).read_text().strip()
+        assert not (tmp_path / "pooled" / "checkpoints"
+                    / f"{job_id}.ckpt").exists()
+        # the worker filled the staircase cache
+        assert any((tmp_path / "cache").rglob("*"))

@@ -4,16 +4,16 @@ Four studies, recorded into ``BENCH_parallel.json`` (the repo's perf
 trajectory for the parallel search/runner layer of PR 4):
 
 * **portfolio** — a 2000-evaluation ``big12m`` portfolio (8 lanes:
-  every registered strategy at two seeds, shared incumbent + shared
-  ledger) raced on a *warm* persistent 4-worker pool, against the
-  serial ``optimize`` baseline (anneal, same total budget, same warm
-  starting state).  The same lanes also run inline (``workers=1``,
+  every registered strategy at two seeds, shared incumbent, each lane
+  capped at its fair budget slice) raced on a *warm* persistent
+  4-worker pool, against the serial ``optimize`` baseline (anneal,
+  same total budget, same warm starting state).  The same lanes also run inline (``workers=1``,
   pre-warmed model, same budget); ``inline_s``, ``inline_best_cost``
   and ``lane_mode_ratio`` (inline over lane-mode wall-clock) record
   whether lane mode pays, as information only.  Gates:
 
-  - ``budget``: zero cross-process overruns — the lanes' summed paid
-    evaluations never exceed the global budget;
+  - ``budget``: zero overruns — the lanes' summed paid evaluations
+    never exceed the global budget;
   - ``cost``: the portfolio's best Eq. (2) cost is equal or better
     than serial ``optimize``'s at the same total budget;
   - ``speedup``: >= 2.5x wall-clock over serial.  **Hardware-guarded**

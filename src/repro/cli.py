@@ -287,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument(
         "--budget", type=int, default=200,
         help="evaluation budget per strategy — the *global* budget "
-             "shared by all lanes in portfolio mode (default: 200)",
+             "split into fair per-lane slices in portfolio mode "
+             "(default: 200)",
     )
     po.add_argument(
         "--seconds", type=float, default=None,
@@ -494,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ps.add_argument(
         "--start-method",
-        choices=("fork", "spawn", "forkserver"),
+        choices=("fork", "spawn"),
         default=None,
         help="explicit multiprocessing start method for the worker "
              "pool (default: fork where available, else spawn)",
@@ -627,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
              "at a time; 1 runs them in-process (default: 1)",
     )
     pserve.add_argument(
-        "--start-method", choices=("fork", "spawn", "forkserver"),
+        "--start-method", choices=("fork", "spawn"),
         default=None, help="pool start method (with --workers >= 2)",
     )
     pserve.add_argument(
@@ -1139,17 +1140,7 @@ def _run_optimize(args: argparse.Namespace) -> str:
     # one synthetic "lane" per raced strategy, so report --run renders
     # the same table for inline and portfolio runs
     _obs_artifacts(trace_records=records, lane_records=[
-        {
-            "lane": i, "label": o.strategy, "strategy": o.strategy,
-            "seed": o.seed, "n_evaluated": o.n_evaluated,
-            "n_packs": o.n_packs, "n_gated": o.n_gated,
-            "best_cost": (
-                None if o.best_partition is None else o.best_cost
-            ),
-            "improvements": len(o.trace), "elapsed_s": o.elapsed_s,
-            "stalled": o.stalled,
-        }
-        for i, o in enumerate(outcomes)
+        o.lane_record(i, o.strategy) for i, o in enumerate(outcomes)
     ])
     return "\n".join(lines)
 
@@ -1181,7 +1172,7 @@ def _run_portfolio(
         f"{space} sharing partitions; TAM width {width}, "
         f"w_T={args.wt:g}, global budget {budget} evaluations"
         + (f" / {args.seconds:g}s" if args.seconds else "")
-        + f"; {len(lanes)} lanes on {args.workers} worker(s)"
+        + f"; {len(lanes)} lanes"
     )
     try:
         outcome = portfolio_search(

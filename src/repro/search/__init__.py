@@ -47,7 +47,7 @@ from ..core.cost import CostModel, CostWeights, ScheduleEvaluator
 from ..soc.model import Soc
 from . import registry
 from .anneal import SimulatedAnnealing
-from .budget import Budget, BudgetExhausted, EvalLedger, SharedEvalLedger
+from .budget import Budget, BudgetExhausted
 from .checkpoint import SearchCheckpoint, run_fingerprint
 from .genetic import GeneticSearch, crossover
 from .greedy import RandomRestartGreedy
@@ -80,7 +80,6 @@ __all__ = [
     "BatchProposeStrategy",
     "Budget",
     "BudgetExhausted",
-    "EvalLedger",
     "GeneticSearch",
     "Lane",
     "LocalIncumbent",
@@ -93,7 +92,6 @@ __all__ = [
     "SearchOutcome",
     "SearchProblem",
     "SearchStrategy",
-    "SharedEvalLedger",
     "SharedIncumbent",
     "SimulatedAnnealing",
     "StrategySpec",

@@ -10,12 +10,10 @@ checks :attr:`Budget.exhausted` between steps, and the problem calls
 more work than the budget has left is cut off mid-step by
 :class:`BudgetExhausted`.
 
-A portfolio of lanes racing on one *global* allowance shares an
-:class:`EvalLedger`: every lane's budget draws its evaluations from the
-same pot, so the lanes collectively can never overrun it.
-:class:`SharedEvalLedger` is the cross-process variant (a
-``multiprocessing`` shared counter) the parallel portfolio driver
-(:mod:`repro.search.parallel`) hands to its worker lanes.
+A portfolio of lanes racing on one *global* allowance gives every
+lane its own budget capped at a fair slice of it
+(:func:`~repro.search.parallel.lane_slices`); the slices sum to the
+allowance, so the lanes collectively can never overrun it.
 
 The clock is injectable for tests (and for replaying traces), defaulting
 to :func:`time.perf_counter`.
@@ -26,14 +24,7 @@ from __future__ import annotations
 import time
 from collections.abc import Callable
 
-from .. import obs
-
-__all__ = [
-    "Budget",
-    "BudgetExhausted",
-    "EvalLedger",
-    "SharedEvalLedger",
-]
+__all__ = ["Budget", "BudgetExhausted"]
 
 
 class BudgetExhausted(Exception):
@@ -44,179 +35,6 @@ class BudgetExhausted(Exception):
     """
 
 
-class EvalLedger:
-    """A global evaluation allowance several budgets draw from.
-
-    One ledger, many :class:`Budget` instances: each lane of a portfolio
-    search gets its own budget (so per-lane accounting stays exact) but
-    every paid evaluation also *takes* one unit from the shared ledger.
-    Once the ledger is dry, every attached budget is exhausted at once —
-    the invariant the portfolio's "total evaluations <= global budget"
-    guarantee rests on.
-
-    This in-process variant needs no locking (CPython bytecode-level
-    atomicity is irrelevant here — all lanes of the ``workers=1``
-    portfolio run in one thread); :class:`SharedEvalLedger` is the
-    cross-process one.
-
-    :param total: global paid-evaluation allowance (``None`` =
-        unlimited; the ledger then only counts).
-    :raises ValueError: if *total* < 1.
-    """
-
-    def __init__(self, total: int | None):
-        if total is not None and total < 1:
-            raise ValueError(f"ledger total must be >= 1, got {total}")
-        self._total = total
-        self._taken = 0
-        self._lane_taken: dict[int, int] = {}
-
-    @property
-    def total(self) -> int | None:
-        """The global allowance (``None`` = unlimited)."""
-        return self._total
-
-    def reset(self, total: int | None) -> None:
-        """Refill the pot for a new portfolio run."""
-        if total is not None and total < 1:
-            raise ValueError(f"ledger total must be >= 1, got {total}")
-        self._total = total
-        self._taken = 0
-        self._lane_taken.clear()
-
-    def take(self, lane: int | None = None) -> bool:
-        """Draw one evaluation; ``False`` when the ledger is dry.
-
-        :param lane: optional lane index the draw is attributed to, so
-            a crashed lane's spending can be refunded before its retry
-            (:meth:`refund_lane`).
-        """
-        if self._total is not None and self._taken >= self._total:
-            return False
-        self._taken += 1
-        if lane is not None:
-            self._lane_taken[lane] = self._lane_taken.get(lane, 0) + 1
-        return True
-
-    def refund_lane(self, lane: int) -> int:
-        """Return a lane's attributed draws to the pot.
-
-        The supervision layer calls this before retrying a crashed or
-        hung lane from scratch: without the refund, the retry would
-        find the pot short by everything the failed attempt spent, and
-        the portfolio's trajectory would no longer match a fault-free
-        run.  Returns the number of evaluations refunded.
-        """
-        refunded = self._lane_taken.pop(lane, 0)
-        self._taken -= refunded
-        return refunded
-
-    def restore_taken(self, taken: int) -> None:
-        """Set the draw count directly (checkpoint resume)."""
-        self._taken = taken
-        self._lane_taken.clear()
-
-    @property
-    def taken(self) -> int:
-        """Evaluations drawn so far, across every attached budget."""
-        return self._taken
-
-    @property
-    def remaining(self) -> int | None:
-        """Evaluations left in the pot (``None`` = unlimited)."""
-        if self.total is None:
-            return None
-        return max(0, self.total - self.taken)
-
-    @property
-    def empty(self) -> bool:
-        """Whether the allowance has been used up."""
-        return self.remaining == 0
-
-
-class SharedEvalLedger(EvalLedger):
-    """A cross-process :class:`EvalLedger` over a shared counter.
-
-    Worker lanes of a parallel portfolio draw from one
-    ``multiprocessing`` shared integer under a lock, so the draw is
-    atomic across processes: the lanes can collectively never spend
-    more than *total* paid evaluations, no matter how they interleave.
-
-    :param total: global paid-evaluation allowance (``None`` =
-        unlimited).
-    :param context: the ``multiprocessing`` context the pool workers
-        are spawned from (the primitives must come from the same
-        context to be inheritable).
-    """
-
-    def __init__(self, total: int | None, context=None):
-        super().__init__(total)
-        import multiprocessing
-
-        ctx = context if context is not None else multiprocessing
-        # RawValue + explicit lock: take() needs a read-modify-write,
-        # so the synchronized wrapper's per-access lock would be both
-        # insufficient (not atomic across the read and the write) and
-        # redundant.  -1 encodes "unlimited" in the shared total cell.
-        self._total_cell = ctx.RawValue("q", -1 if total is None else total)
-        self._cell = ctx.RawValue("q", 0)
-        # fixed-size per-lane attribution cells (RawArray is sized at
-        # allocation; MAX_LANES far exceeds any sane worker portfolio
-        # — draws from lanes beyond it are simply unattributed, so
-        # they work but cannot be refunded)
-        self._lane_cells = ctx.RawArray("q", self.MAX_LANES)
-        self._lock = ctx.Lock()
-
-    #: per-lane attribution slots in the shared array
-    MAX_LANES = 64
-
-    @property
-    def total(self) -> int | None:
-        value = self._total_cell.value
-        return None if value < 0 else value
-
-    def reset(self, total: int | None) -> None:
-        if total is not None and total < 1:
-            raise ValueError(f"ledger total must be >= 1, got {total}")
-        with self._lock:
-            self._total_cell.value = -1 if total is None else total
-            self._cell.value = 0
-            for i in range(self.MAX_LANES):
-                self._lane_cells[i] = 0
-
-    def take(self, lane: int | None = None) -> bool:
-        with self._lock:
-            total = self._total_cell.value
-            if 0 <= total <= self._cell.value:
-                return False
-            self._cell.value += 1
-            if lane is not None and 0 <= lane < self.MAX_LANES:
-                self._lane_cells[lane] += 1
-            return True
-
-    def refund_lane(self, lane: int) -> int:
-        if not 0 <= lane < self.MAX_LANES:
-            return 0
-        with self._lock:
-            refunded = self._lane_cells[lane]
-            self._cell.value -= refunded
-            self._lane_cells[lane] = 0
-            return refunded
-
-    def restore_taken(self, taken: int) -> None:
-        with self._lock:
-            self._cell.value = taken
-            for i in range(self.MAX_LANES):
-                self._lane_cells[i] = 0
-
-    @property
-    def taken(self) -> int:
-        # a plain aligned 8-byte read; worst case it lags a concurrent
-        # writer by one, which only delays the between-steps exhaustion
-        # check (charge() itself is exact)
-        return self._cell.value
-
-
 class Budget:
     """An evaluation-count and/or wall-clock allowance for one search.
 
@@ -225,13 +43,6 @@ class Budget:
     :param max_seconds: wall-clock allowance, measured from
         :meth:`start` (``None`` = unlimited).
     :param clock: monotonic time source, injectable for tests.
-    :param ledger: optional global :class:`EvalLedger` this budget
-        draws from — every charge also takes one unit from the ledger,
-        and an empty ledger exhausts the budget regardless of the local
-        limits.
-    :param ledger_lane: lane index to attribute ledger draws to, so a
-        crashed lane's spending can be refunded before its retry (see
-        :meth:`EvalLedger.refund_lane`).
     :raises ValueError: on non-positive limits.
     """
 
@@ -240,8 +51,6 @@ class Budget:
         max_evaluations: int | None = None,
         max_seconds: float | None = None,
         clock: Callable[[], float] = time.perf_counter,
-        ledger: EvalLedger | None = None,
-        ledger_lane: int | None = None,
     ):
         if max_evaluations is not None and max_evaluations < 1:
             raise ValueError(
@@ -253,8 +62,6 @@ class Budget:
             )
         self.max_evaluations = max_evaluations
         self.max_seconds = max_seconds
-        self.ledger = ledger
-        self.ledger_lane = ledger_lane
         self._clock = clock
         self._started: float | None = None
         #: paid evaluations spent so far
@@ -264,9 +71,7 @@ class Budget:
     def limited(self) -> bool:
         """Whether any limit is set at all."""
         return (
-            self.max_evaluations is not None
-            or self.max_seconds is not None
-            or self.ledger is not None
+            self.max_evaluations is not None or self.max_seconds is not None
         )
 
     def start(self) -> "Budget":
@@ -290,34 +95,23 @@ class Budget:
 
     @property
     def exhausted(self) -> bool:
-        """Whether any limit (local or ledger) has been reached."""
+        """Whether any limit has been reached."""
         if self.max_evaluations is not None \
                 and self.spent >= self.max_evaluations:
             return True
         if self.max_seconds is not None and self._started is not None \
                 and self.elapsed_s >= self.max_seconds:
             return True
-        if self.ledger is not None and self.ledger.empty:
-            return True
         return False
 
     def charge(self) -> None:
         """Account for one paid evaluation about to happen.
-
-        With a shared ledger attached, the charge atomically draws one
-        unit from it; a dry ledger exhausts this budget even when its
-        local limits still have headroom.
 
         :raises BudgetExhausted: if the budget has already run out; the
             evaluation then does not happen and nothing is charged.
         """
         if self.exhausted:
             raise BudgetExhausted(self.describe())
-        if self.ledger is not None:
-            if not self.ledger.take(self.ledger_lane):
-                obs.counter("ledger.denied")
-                raise BudgetExhausted(self.describe())
-            obs.counter("ledger.grants")
         self.spent += 1
 
     def describe(self) -> str:
@@ -325,10 +119,6 @@ class Budget:
         limits = []
         if self.max_evaluations is not None:
             limits.append(f"{self.spent}/{self.max_evaluations} evaluations")
-        if self.ledger is not None and self.ledger.total is not None:
-            limits.append(
-                f"{self.ledger.taken}/{self.ledger.total} shared evaluations"
-            )
         if self.max_seconds is not None:
             limits.append(f"{self.elapsed_s:.1f}/{self.max_seconds:g}s")
         return ", ".join(limits) if limits else "unlimited"

@@ -3,9 +3,9 @@
 A :class:`SearchCheckpoint` periodically pickles everything a run needs
 to continue after a kill — for every lane, the strategy's full state
 (RNG stream included), the problem's cost cache, incumbent, and trace,
-and the lane's step counters, plus the lanes' shared ledger and
-incumbent (the layout :func:`~repro.search.strategy.interleave`
-writes) — so a resumed run replays to a **byte-identical trajectory**:
+and the lane's step counters, plus the lanes' shared incumbent (the
+layout :func:`~repro.search.strategy.interleave` writes) — so a
+resumed run replays to a **byte-identical trajectory**:
 the determinism tests kill a run at evaluation *K*, resume it, and
 compare the complete trace against an uninterrupted run.
 
@@ -34,7 +34,9 @@ from pathlib import Path
 __all__ = ["SearchCheckpoint", "run_fingerprint"]
 
 #: bumped whenever the snapshot payload layout changes (2: one layout
-#: for serial runs and inline portfolios, a list of lanes)
+#: for serial runs and inline portfolios, a list of lanes; snapshots
+#: from before the evaluation ledger was removed also hold its draw
+#: count, which resume ignores)
 _FORMAT = 2
 
 

@@ -20,24 +20,21 @@ workers, so a one-lane portfolio always runs inline; an explicit
 lower-bound gate answers almost every candidate in the parent faster
 than a worker round-trip could.
 
-Two pieces of shared state tie the lanes into *one* search instead of
-N oblivious ones:
-
-* the **shared incumbent** (:class:`SharedIncumbent`) — a lock-free
-  readable ``multiprocessing`` double holding the best Eq. (2) cost
-  any lane has achieved.  Every lane's lower-bound pruning gate
-  (:class:`~repro.search.problem.SearchProblem`) compares candidates
-  against it, so the moment one lane improves, every other lane's
-  gate-skip rate rises;
-* the **shared ledger** (:class:`~repro.search.budget.SharedEvalLedger`)
-  — a global paid-evaluation allowance all lanes draw from atomically,
-  so the portfolio can never overrun its total budget no matter how
-  the lanes interleave.
+The **shared incumbent** (:class:`SharedIncumbent`) ties the lanes
+into *one* search instead of N oblivious ones: a lock-free readable
+``multiprocessing`` double holding the best Eq. (2) cost any lane has
+achieved.  Every lane's lower-bound pruning gate
+(:class:`~repro.search.problem.SearchProblem`) compares candidates
+against it, so the moment one lane improves, every other lane's
+gate-skip rate rises.  The budget needs no shared state: each lane is
+capped at its fair slice of it (:func:`lane_slices`), and the slices
+sum to the budget, so the portfolio can never overrun it no matter how
+the lanes interleave.
 
 The workers belong to a :class:`PortfolioPool`, the
-:class:`~repro.supervise.SupervisedPool` subclass that carries both
-shared cells.  Reuse one across calls to amortize worker warm-up over
-many portfolios (e.g. a width sweep)::
+:class:`~repro.supervise.SupervisedPool` subclass that carries the
+shared incumbent.  Reuse one across calls to amortize worker warm-up
+over many portfolios (e.g. a width sweep)::
 
     from repro.search.parallel import PortfolioPool, portfolio_search
 
@@ -69,7 +66,7 @@ from ..supervise import (
     pool_context,
 )
 from . import registry
-from .budget import Budget, EvalLedger, SharedEvalLedger
+from .budget import Budget
 from .problem import SearchProblem
 from .strategy import LaneRun, SearchOutcome, interleave, run_strategy
 
@@ -171,11 +168,10 @@ def lane_slices(budget: int | None, n: int) -> tuple[int | None, ...]:
     """Fair per-lane evaluation slices of a global *budget*.
 
     Every lane gets ``budget // n`` (the first ``budget % n`` lanes one
-    more), so no lane can drain the shared ledger before the others
-    start — without fairness, the first ``workers`` lanes of a large
-    portfolio race through the whole allowance and the remaining lanes
-    contribute nothing.  The shared ledger stays the hard global cap on
-    top (a stalled lane's unspent slice is simply left unspent).
+    more).  The slices sum to *budget*, so capping each lane at its
+    slice is the portfolio's global cap, and fairness means every lane
+    contributes however the lanes are scheduled.  A stalled lane's
+    unspent slice is simply left unspent.
 
     ``None`` budget yields all-``None`` slices (wall-clock-only runs).
     """
@@ -313,27 +309,12 @@ class PortfolioOutcome:
         gate skips, and best cost per lane — the shape that makes a
         lane burning its whole budget at 100% gate-skip visible.
         """
-        records = []
-        for index, (lane, outcome) in enumerate(
-            zip(self.lanes, self.outcomes)
-        ):
-            records.append({
-                "lane": index,
-                "label": lane.label,
-                "strategy": lane.strategy,
-                "seed": lane.seed,
-                "n_evaluated": outcome.n_evaluated,
-                "n_packs": outcome.n_packs,
-                "n_gated": outcome.n_gated,
-                "best_cost": (
-                    None if outcome.best_partition is None
-                    else outcome.best_cost
-                ),
-                "improvements": len(outcome.trace),
-                "elapsed_s": outcome.elapsed_s,
-                "stalled": outcome.stalled,
-            })
-        return records
+        return [
+            outcome.lane_record(index, lane.label)
+            for index, (lane, outcome) in enumerate(
+                zip(self.lanes, self.outcomes)
+            )
+        ]
 
     def summary(self) -> str:
         """Multi-line human-readable outcome."""
@@ -384,15 +365,15 @@ def _build_model(
 # ---------------------------------------------------------------------------
 # worker side
 
-#: per-process worker state: shared cells from the initializer plus the
-#: warm model cache, keyed by the pickled problem configuration
+#: per-process worker state: the shared incumbent from the initializer
+#: plus the warm model cache, keyed by the pickled problem configuration
 _WORKER: dict = {}
 
 
-def _init_worker(incumbent, ledger) -> None:
-    """Pool initializer: adopt the shared cells, start a model cache."""
+def _init_worker(incumbent) -> None:
+    """Pool initializer: adopt the shared incumbent, start a model
+    cache."""
     _WORKER["incumbent"] = incumbent
-    _WORKER["ledger"] = ledger
     _WORKER["models"] = {}
 
 
@@ -431,7 +412,7 @@ def _warm_task(config_bytes: bytes) -> bool:
 
 
 def _lane_task(
-    config_bytes: bytes, lane: Lane, lane_index: int, gate: bool,
+    config_bytes: bytes, lane: Lane, gate: bool,
     deadline: float | None, max_evaluations: int | None,
 ) -> SearchOutcome:
     """Run one whole lane inside a pool worker.
@@ -441,10 +422,6 @@ def _lane_task(
     system-wide on the supported platforms, so a lane that sat in the
     task queue behind earlier lanes gets only the *remaining* wall
     allowance, not a fresh one.
-
-    *lane_index* attributes the lane's shared-ledger draws, so the
-    supervisor can refund a crashed attempt's spending before the
-    retry (see :meth:`~repro.search.budget.EvalLedger.refund_lane`).
     """
     faults.hit("lane")
     model = _worker_model(config_bytes)
@@ -454,12 +431,8 @@ def _lane_task(
         # a lane dequeued past the deadline still needs a positive
         # budget (Budget rejects <= 0); it then expires on first check
         max_seconds = max(deadline - time.monotonic(), 1e-6)
-    budget = Budget(
-        max_evaluations=max_evaluations,
-        max_seconds=max_seconds,
-        ledger=_WORKER.get("ledger"),
-        ledger_lane=lane_index,
-    )
+    budget = Budget(max_evaluations=max_evaluations,
+                    max_seconds=max_seconds)
     problem = SearchProblem(
         model, budget, gate=gate, incumbent=_WORKER.get("incumbent")
     )
@@ -490,13 +463,13 @@ class PortfolioPool(SupervisedPool):
     """A persistent pool of warm portfolio workers.
 
     A :class:`~repro.supervise.SupervisedPool` that also owns the
-    cross-process shared state: the incumbent and the ledger, created
-    from the pool's ``multiprocessing`` context and handed to every
-    worker, respawned ones included, as initializer arguments —
-    synchronization primitives cannot travel through the task queue.
-    Reusable across :func:`portfolio_search` calls: the shared state
-    is reset per search and the workers keep their warm models, so
-    repeated portfolios on the same problem pay worker warm-up once.
+    cross-process shared incumbent, created from the pool's
+    ``multiprocessing`` context and handed to every worker, respawned
+    ones included, as an initializer argument — synchronization
+    primitives cannot travel through the task queue.  Reusable across
+    :func:`portfolio_search` calls: the incumbent is reset per search
+    and the workers keep their warm models, so repeated portfolios on
+    the same problem pay worker warm-up once.
 
     :param workers: worker process count (>= 2; use
         ``portfolio_search(workers=1)`` for the in-process mode).
@@ -509,19 +482,16 @@ class PortfolioPool(SupervisedPool):
             raise ValueError(
                 f"PortfolioPool needs workers >= 2, got {workers}"
             )
-        ctx = pool_context(start_method)
-        self.incumbent = SharedIncumbent(ctx)
-        self.ledger = SharedEvalLedger(None, ctx)
+        self.incumbent = SharedIncumbent(pool_context(start_method))
         super().__init__(
             workers, start_method, initializer=_init_worker,
-            initargs=(self.incumbent, self.ledger),
+            initargs=(self.incumbent,),
         )
 
-    def reset(self, budget: int | None) -> None:
-        """Clear the shared state for a fresh search."""
+    def reset(self) -> None:
+        """Clear the shared incumbent for a fresh search."""
         self._live()
         self.incumbent.reset()
-        self.ledger.reset(budget)
 
     def warm(self, config_bytes: bytes) -> None:
         """Pre-build the problem's model on *every* worker.
@@ -545,17 +515,16 @@ class PortfolioPool(SupervisedPool):
         """Race *lanes* across the workers; outcomes in lane order.
 
         Each lane is capped at its fair slice of *budget* (see
-        :func:`lane_slices`) on top of the shared-ledger global cap,
-        and *max_seconds* is converted to one absolute deadline for
-        the whole batch — a lane queued behind earlier lanes inherits
-        only the remaining wall allowance.
+        :func:`lane_slices`), and *max_seconds* is converted to one
+        absolute deadline for the whole batch — a lane queued behind
+        earlier lanes inherits only the remaining wall allowance.
 
         A lane whose worker crashes or hangs is retried on a fresh
-        worker, with the failed attempt's shared-ledger draws refunded
-        first so the retry replays against the allowance a fault-free
-        run would have seen; a lane that keeps failing past
-        *max_retries* is quarantined — reported as an empty outcome
-        (``budget="quarantined"``) instead of sinking the portfolio.
+        worker with its whole slice, so the retry replays the
+        trajectory a fault-free run would have taken; a lane that
+        keeps failing past *max_retries* is quarantined — reported as
+        an empty outcome (``budget="quarantined"``) instead of sinking
+        the portfolio.
         """
         slices = lane_slices(budget, len(lanes))
         deadline = (
@@ -567,29 +536,18 @@ class PortfolioPool(SupervisedPool):
             budget=budget,
         )
         tasks = [
-            (_lane_task,
-             (config_bytes, lane, index, gate, deadline, lane_slice))
-            for index, (lane, lane_slice)
-            in enumerate(zip(lanes, slices))
+            (_lane_task, (config_bytes, lane, gate, deadline, lane_slice))
+            for lane, lane_slice in zip(lanes, slices)
         ]
-
-        def refund(index: int, reason: str) -> None:
-            refunded = self.ledger.refund_lane(index)
-            obs.event("lane.refund", lane=index, reason=reason,
-                      evaluations=refunded)
-
         results: list[SearchOutcome | None] = [None] * len(lanes)
         for index, ok, value in self.run_tasks(
             tasks, timeout_s=timeout_s, max_retries=max_retries,
-            on_retry=refund,
         ):
             if ok:
                 results[index] = value
                 continue
-            # quarantined: give its unspent slice back to nobody (the
-            # ledger refund keeps the global accounting honest) and
-            # report an empty outcome in its slot
-            refund(index, "quarantined")
+            # quarantined: its slice goes unspent; report an empty
+            # outcome in its slot
             obs.event("lane.quarantined", lane=index,
                       label=lanes[index].label)
             results[index] = SearchOutcome(
@@ -622,20 +580,18 @@ def _run_in_parent(
 ) -> tuple[list[SearchOutcome], bool]:
     """The inline mode: every lane on *model*, through
     :func:`~repro.search.strategy.interleave` with one in-process
-    ledger and incumbent (and *checkpoint*, if given).
+    incumbent (and *checkpoint*, if given).
 
     Returns ``(outcomes, interrupted)``; on ``KeyboardInterrupt`` the
     outcomes are the lanes' partial results.
     """
-    ledger = EvalLedger(budget) if budget is not None else None
     incumbent = LocalIncumbent()
     st = obs.state()
     runs = []
     for lane, lane_slice in zip(lanes, lane_slices(budget, len(lanes))):
         problem = SearchProblem(
             model,
-            Budget(max_evaluations=lane_slice, max_seconds=max_seconds,
-                   ledger=ledger),
+            Budget(max_evaluations=lane_slice, max_seconds=max_seconds),
             gate=gate, incumbent=incumbent,
         )
         problem.obs_label = lane.label
@@ -646,7 +602,7 @@ def _run_in_parent(
         )
     interrupted = False
     try:
-        interleave(runs, checkpoint, ledger=ledger, incumbent=incumbent)
+        interleave(runs, checkpoint, incumbent=incumbent)
     except KeyboardInterrupt:
         interrupted = True
     model.evaluator.publish_obs()
@@ -675,16 +631,15 @@ def portfolio_search(
     The parallel counterpart of :func:`repro.search.optimize`: N
     ``(strategy, seed)`` lanes cooperate through a shared incumbent
     (each lane's lower-bound gate prunes against the best cost *any*
-    lane has achieved) and a shared evaluation ledger (the lanes
-    collectively never exceed *budget* paid evaluations).  See the
-    module docstring for the two execution modes.
+    lane has achieved), each capped at its fair slice of *budget*
+    (the lanes collectively never exceed *budget* paid evaluations).
+    See the module docstring for the two execution modes.
 
     Determinism: the inline mode is exactly reproducible per
     ``(lanes, seeds)``.  Lane mode keeps every per-lane trajectory
     seed-driven, but the lane *interleaving* (who improves the
-    incumbent first, who drains the ledger) follows the OS scheduler,
-    so it is not bit-reproducible — only budget-respecting and
-    anytime-valid.
+    incumbent first) follows the OS scheduler, so it is not
+    bit-reproducible — only budget-respecting and anytime-valid.
 
     :param soc: the mixed-signal SOC.
     :param width: SOC-level TAM width ``W``.
@@ -694,9 +649,8 @@ def portfolio_search(
         in-process interleaving.
     :param budget: global paid-evaluation allowance shared by all
         lanes (``None`` = unlimited, then *max_seconds* is required).
-        Split into fair per-lane slices (:func:`lane_slices`) so every
-        lane contributes; the shared ledger enforces the global cap on
-        top.
+        Split into fair per-lane slices (:func:`lane_slices`) that sum
+        to it, so every lane contributes and none can overrun.
     :param max_seconds: wall-clock allowance per lane, measured from
         portfolio start.
     :param wt: test-time weight ``w_T`` (area weight ``1 - wt``).
@@ -767,7 +721,7 @@ def portfolio_search(
             if owned:
                 pool = PortfolioPool(workers, start_method)
             try:
-                pool.reset(budget)
+                pool.reset()
                 outcomes = pool.run_lanes(
                     config_bytes, lane_specs, gate, max_seconds, budget,
                 )

@@ -301,6 +301,25 @@ class SearchOutcome:
             for point in self.trace
         ]
 
+    def lane_record(self, lane: int, label: str) -> dict:
+        """One JSON-ready ``lanes.json`` row: this run as lane *lane*,
+        displayed as *label*."""
+        return {
+            "lane": lane,
+            "label": label,
+            "strategy": self.strategy,
+            "seed": self.seed,
+            "n_evaluated": self.n_evaluated,
+            "n_packs": self.n_packs,
+            "n_gated": self.n_gated,
+            "best_cost": (
+                None if self.best_partition is None else self.best_cost
+            ),
+            "improvements": len(self.trace),
+            "elapsed_s": self.elapsed_s,
+            "stalled": self.stalled,
+        }
+
     def summary(self) -> str:
         """One-line human-readable outcome."""
         where = (
@@ -370,9 +389,9 @@ class LaneRun:
         """The lane's :class:`SearchOutcome`.
 
         :param allow_empty: accept a lane with no improving evaluation
-            — a portfolio lane whose shared ledger was drained, or
-            whose every candidate the *shared* incumbent gate pruned —
-            and report it with ``best_partition None`` / infinite cost.
+            — a portfolio lane whose every candidate the *shared*
+            incumbent gate pruned — and report it with
+            ``best_partition None`` / infinite cost.
         :raises ValueError: (unless *allow_empty*) if the budget
             allowed no evaluation at all (e.g. a wall-clock budget that
             expired before the first step).
@@ -399,13 +418,13 @@ class LaneRun:
         )
 
 
-def interleave(runs: Sequence[LaneRun], checkpoint=None, ledger=None,
+def interleave(runs: Sequence[LaneRun], checkpoint=None,
                incumbent=None) -> None:
     """Step *runs* round-robin until every one is done.
 
     One pass gives each live lane one step, in lane order, so the loop
     is deterministic.  A lane is done when its budget is exhausted (its
-    own limit, the wall clock, or a shared ledger) or when it stalls —
+    evaluation slice or the wall clock) or when it stalls —
     :data:`STALL_LIMIT` consecutive steps without one paid evaluation,
     the small-instance case where the whole reachable space is cached.
     An unlimited budget is accepted; the lane then ends on the stall
@@ -417,8 +436,8 @@ def interleave(runs: Sequence[LaneRun], checkpoint=None, ledger=None,
     ties it to one run configuration), snapshots every
     ``checkpoint.every`` passes, and once more when every lane is done,
     so resuming a finished run is a no-op replay.  A snapshot holds the
-    shared *ledger*'s draw count, the shared *incumbent*, and every
-    lane's guard, done flag, strategy state and problem state.
+    shared *incumbent* and every lane's guard, done flag, strategy
+    state and problem state.
 
     A pass boundary is the only instant at which every lane sits
     between steps, so a resumed loop replays the uninterrupted run's
@@ -428,7 +447,6 @@ def interleave(runs: Sequence[LaneRun], checkpoint=None, ledger=None,
     """
     def save() -> None:
         checkpoint.save({
-            "ledger_taken": 0 if ledger is None else ledger.taken,
             "incumbent": (
                 float("inf") if incumbent is None else incumbent.get()
             ),
@@ -437,8 +455,6 @@ def interleave(runs: Sequence[LaneRun], checkpoint=None, ledger=None,
 
     stored = checkpoint.load() if checkpoint is not None else None
     if stored is not None:
-        if ledger is not None:
-            ledger.restore_taken(stored["ledger_taken"])
         if incumbent is not None:
             incumbent.offer(stored["incumbent"])
         for run, kept in zip(runs, stored["lanes"]):

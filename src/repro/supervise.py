@@ -5,7 +5,7 @@ retry and quarantine.
 The sweep engine (:func:`repro.runner.run_sweep`; the class is also
 exported there as ``repro.runner.WorkerPool``), ``repro serve``'s job
 queue, and the portfolio search (:class:`repro.search.PortfolioPool`,
-a subclass that adds the shared incumbent and ledger) all dispatch
+a subclass that adds the shared incumbent) all dispatch
 through one API: :meth:`SupervisedPool.run_tasks`, plus
 :meth:`SupervisedPool.run_on_all` for warm-up.
 
@@ -32,7 +32,9 @@ Each worker owns a private task queue *and* a private result queue:
 terminating a hung worker can only ever corrupt its own channel, which
 is discarded with it.  Workers are daemonic and compatible with both
 ``fork`` and ``spawn`` start methods (everything crossing a queue is
-picklable; the worker main function is module-level).
+picklable; the worker main function is module-level).  ``forkserver``
+is refused: its workers are children of the fork server, which
+outlives a SIGKILLed owner, so they would never notice the owner die.
 
 This module also owns :func:`default_start_method`, the single place
 the runner and search layers agree on a start method.
@@ -74,13 +76,15 @@ def default_start_method() -> str:
 def pool_context(start_method: str | None = None):
     """The ``multiprocessing`` context of *start_method* (default
     :func:`default_start_method`); shared primitives handed to a
-    pool's ``initargs`` must come from it.  Raises ``ValueError`` if
-    the method is not available here."""
+    pool's ``initargs`` must come from it.  Raises ``ValueError`` for
+    a method other than ``fork``/``spawn`` or one this platform
+    lacks."""
     method = start_method or default_start_method()
-    available = multiprocessing.get_all_start_methods()
+    available = [m for m in ("fork", "spawn")
+                 if m in multiprocessing.get_all_start_methods()]
     if method not in available:
         raise ValueError(
-            f"start method {method!r} not available here; "
+            f"start method {method!r} not available for worker pools; "
             f"pick from {', '.join(available)}"
         )
     return multiprocessing.get_context(method)
@@ -93,7 +97,7 @@ class PoolBroken(RuntimeError):
 
 
 def _worker_main(task_queue, result_queue, initializer, initargs,
-                 parent_pid: int | None) -> None:
+                 parent_pid: int) -> None:
     """Worker loop: run ``(task_id, fn, args)`` tuples until the
     ``None`` sentinel.  Exceptions are returned as tracebacks, never
     raised — only a crash (or a kill) ends the loop early, and so does
@@ -101,12 +105,7 @@ def _worker_main(task_queue, result_queue, initializer, initargs,
     sentinel, so an idle worker checks every :data:`_PARENT_POLL_S`
     that its parent is still *parent_pid*.  The owner passes its own
     pid, so an owner that dies while the worker is still starting is
-    noticed too.  ``None`` means the process that forked the worker:
-    a ``forkserver`` worker's parent is the fork server, which does
-    not exit while any of its workers holds its liveness pipe, so
-    ``forkserver`` workers still outlive a SIGKILLed owner."""
-    if parent_pid is None:
-        parent_pid = os.getppid()
+    noticed too."""
     if initializer is not None:
         try:
             initializer(*initargs)
@@ -159,12 +158,10 @@ class _Worker:
         self.slot = slot
         self.task_queue = ctx.Queue()
         self.result_queue = ctx.Queue()
-        owner = (None if ctx.get_start_method() == "forkserver"
-                 else os.getpid())
         self.process = ctx.Process(
             target=_worker_main,
             args=(self.task_queue, self.result_queue, initializer,
-                  initargs, owner),
+                  initargs, os.getpid()),
             daemon=True,
         )
         self.process.start()
@@ -193,7 +190,7 @@ class SupervisedPool:
     """A pool of supervised worker processes.
 
     :param workers: number of worker processes (>= 1).
-    :param start_method: ``fork``/``spawn``/``forkserver``; defaults to
+    :param start_method: ``fork`` or ``spawn``; defaults to
         :func:`default_start_method`.
     :param initializer: optional per-worker initializer (module-level
         callable for ``spawn`` compatibility).
@@ -340,7 +337,8 @@ class SupervisedPool:
         :param backoff_seed: seeds the jittered exponential backoff so
             retry timing is reproducible.
         :param on_retry: ``callback(index, reason)`` invoked before a
-            requeue — the portfolio layer refunds ledger lanes here.
+            requeue — the sweep engine and the job queue tally retries
+            here.
         :param pins: optional per-task worker slot (``run_on_all``).
         :raises PoolBroken: when this call's worker respawns exceed
             the pool's ``max_restarts`` (each call starts a fresh

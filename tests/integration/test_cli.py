@@ -123,7 +123,17 @@ class TestSearchCommands:
         ) == 0
         out = capsys.readouterr().out
         assert "portfolio:" in out
-        assert "2 worker(s)" in out
+        assert "4 lanes x 2 workers (lanes)" in out
+        # one lane runs inline whatever --workers says: the summary
+        # line reports the actual shape, and the header names none
+        assert main(
+            ["optimize", "--smoke", "--portfolio", "1", "--workers", "2",
+             "--budget", "20", "--trace", ""]
+        ) == 0
+        header, summary = capsys.readouterr().out.splitlines()[:2]
+        assert header.endswith("; 1 lanes")
+        assert "worker" not in header
+        assert "1 lanes x 1 workers (inline)" in summary
 
     def test_optimize_bad_workers_is_cli_error(self, capsys):
         assert main(
@@ -301,6 +311,12 @@ class TestProfileCommand:
         out = capsys.readouterr().out
         assert "speedup" in out
         assert "gated anneal" in out
+
+    def test_sweep_rejects_forkserver(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--smoke", "--start-method", "forkserver"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'forkserver'" in capsys.readouterr().err
 
     def test_sweep_explicit_start_method(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.jsonl"

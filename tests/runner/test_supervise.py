@@ -123,6 +123,12 @@ class TestBasics:
         with pytest.raises(ValueError, match="not available"):
             SupervisedPool(2, "teleport")
 
+    def test_rejects_forkserver(self):
+        """forkserver workers outlive a killed owner, so no pool
+        offers it."""
+        with pytest.raises(ValueError, match="pick from fork"):
+            SupervisedPool(1, "forkserver")
+
     def test_closed_pool_raises(self):
         pool = SupervisedPool(1, "fork")
         pool.close()

@@ -180,6 +180,40 @@ class TestPortfolioCheckpoint:
         assert [trace_view(o) for o in resumed.outcomes] \
             == [trace_view(o) for o in reference.outcomes]
 
+    def test_snapshot_with_ledger_count_still_resumes(
+        self, tmp_path, big8_soc
+    ):
+        """Snapshots written while the lanes drew from a shared
+        evaluation ledger also hold its draw count; resume ignores it
+        and replays the uninterrupted trajectory."""
+        model = quick_model(big8_soc, width=8)
+        kwargs = dict(width=8, lanes=self.LANES, workers=1, budget=40,
+                      model=model)
+        reference = portfolio_search(big8_soc, **kwargs)
+
+        checkpoint = SearchCheckpoint(tmp_path / "pf.pkl", every=2)
+        faults.install("abort@eval:25")
+        with pytest.raises(FaultInjected):
+            portfolio_search(big8_soc, checkpoint=checkpoint, **kwargs)
+        faults.install(None)
+        state = checkpoint.load()
+        assert "ledger_taken" not in state
+        state["ledger_taken"] = sum(
+            lane["problem"]["budget_spent"] for lane in state["lanes"]
+        )
+        checkpoint.save(state)
+        resumed = portfolio_search(big8_soc, checkpoint=checkpoint,
+                                   **kwargs)
+
+        assert resumed.best_cost == reference.best_cost
+        assert resumed.best_partition == reference.best_partition
+        assert [o.n_evaluated for o in resumed.outcomes] \
+            == [o.n_evaluated for o in reference.outcomes]
+        assert [o.n_steps for o in resumed.outcomes] \
+            == [o.n_steps for o in reference.outcomes]
+        assert [trace_view(o) for o in resumed.outcomes] \
+            == [trace_view(o) for o in reference.outcomes]
+
     def test_checkpoint_requires_single_worker(self, tmp_path, big8_soc):
         with pytest.raises(ValueError, match="workers=1"):
             portfolio_search(

@@ -1,4 +1,4 @@
-"""Tests for the parallel portfolio runtime (lanes, ledger, incumbent).
+"""Tests for the parallel portfolio runtime (lanes, slices, incumbent).
 
 The multiprocess modes are exercised with tiny budgets and the quick
 packer so the whole module stays CI-cheap; the in-process mode is the
@@ -7,17 +7,19 @@ deterministic reference the accounting/parity assertions pin down.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.search import (
     Budget,
     BudgetExhausted,
-    EvalLedger,
     Lane,
     LocalIncumbent,
     PortfolioPool,
     SearchProblem,
-    SharedEvalLedger,
     SharedIncumbent,
     default_lanes,
     default_start_method,
@@ -82,48 +84,51 @@ class TestIncumbents:
         assert incumbent.get() == float("inf")
 
 
-class TestEvalLedger:
-    @pytest.mark.parametrize("factory", [EvalLedger, SharedEvalLedger])
-    def test_take_until_dry(self, factory):
-        ledger = factory(3)
-        assert [ledger.take() for _ in range(4)] == [True, True, True,
-                                                     False]
-        assert ledger.taken == 3
-        assert ledger.remaining == 0
-        assert ledger.empty
-        ledger.reset(2)
-        assert ledger.taken == 0
-        assert ledger.take()
+def assert_within_slices(outcome, budget):
+    """The portfolio cap: every lane within its fair slice, so the
+    whole portfolio within *budget*."""
+    slices = lane_slices(budget, len(outcome.lanes))
+    for lane_outcome, lane_slice in zip(outcome.outcomes, slices):
+        assert lane_outcome.n_evaluated <= lane_slice
+    assert outcome.n_evaluated == sum(
+        o.n_evaluated for o in outcome.outcomes
+    )
+    assert outcome.n_evaluated <= budget
 
-    @pytest.mark.parametrize("factory", [EvalLedger, SharedEvalLedger])
-    def test_unlimited_only_counts(self, factory):
-        ledger = factory(None)
-        assert all(ledger.take() for _ in range(10))
-        assert ledger.taken == 10
-        assert not ledger.empty
-        assert ledger.remaining is None
 
-    def test_rejects_non_positive_total(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            EvalLedger(0)
+class TestSliceCap:
+    """Fair lane slices are the portfolio's one budget cap."""
 
-    def test_budget_draws_from_ledger(self):
-        ledger = EvalLedger(2)
-        a = Budget(ledger=ledger).start()
-        b = Budget(ledger=ledger).start()
-        a.charge()
-        b.charge()
-        assert a.exhausted and b.exhausted
-        with pytest.raises(BudgetExhausted):
-            a.charge()
-        assert ledger.taken == 2
-        assert "2/2 shared evaluations" in a.describe()
+    @settings(max_examples=30, deadline=None)
+    @given(
+        lanes=st.lists(
+            st.builds(Lane, st.sampled_from(registry.strategy_names()),
+                      st.integers(0, 2**16)),
+            min_size=1, max_size=6,
+        ),
+        data=st.data(),
+    )
+    def test_inline_portfolio_never_overspends(self, big8_soc, lanes,
+                                               data):
+        budget = data.draw(st.integers(len(lanes), 200), label="budget")
+        outcome = portfolio_search(big8_soc, width=8, lanes=lanes,
+                                   workers=1, budget=budget, **QUICK)
+        assert outcome.mode == "inline"
+        assert_within_slices(outcome, budget)
 
-    def test_local_limit_still_applies(self):
-        budget = Budget(max_evaluations=1, ledger=EvalLedger(10))
-        budget.start().charge()
-        with pytest.raises(BudgetExhausted):
-            budget.charge()
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs fork",
+    )
+    def test_lane_mode_never_overspends(self, big8_soc):
+        lanes = default_lanes(4, strategies=("anneal",))
+        outcome = portfolio_search(big8_soc, width=16, lanes=lanes,
+                                   workers=2, budget=40,
+                                   start_method="fork", **QUICK)
+        assert outcome.mode == "lanes"
+        assert_within_slices(outcome, 40)
+        # the cap binds: every anneal lane wants far more than 10
+        assert [o.n_evaluated for o in outcome.outcomes] == [10] * 4
 
 
 class TestInlinePortfolio:
@@ -312,8 +317,7 @@ class TestMultiprocessPortfolio:
                                       budget=40, pool=pool, **QUICK)
         assert first.n_evaluated <= 40
         assert second.n_evaluated <= 40
-        # the ledger was reset between searches: the second run was
-        # not starved by the first one's spending
+        # the second run was not starved by the first one's spending
         assert second.n_evaluated > 0
 
     def test_pool_validation(self):

@@ -58,8 +58,11 @@ from repro.core.area import AreaModel
 from repro.core.cost import CostModel, CostWeights, ScheduleEvaluator
 from repro.core.sharing import representative_partitions
 from repro.experiments.common import PACK_EFFORT
+from repro.obs import RegressionReport, hardware
 from repro.search import Budget, SearchProblem, registry, run_strategy
 from repro.workloads import build
+
+from harness import add_arguments, against_committed, conclude, failed_gates
 
 #: presets × paper widths pinned by the parity study
 PARITY_PRESETS = {
@@ -76,6 +79,9 @@ STRESS_WIDTH = 32
 #: the power study's workload: the same scenario with per-test power
 #: ratings and a binding SOC power budget
 POWER_WORKLOAD = "big12mp"
+
+#: ``--gate``: the evals/sec drop (with the speedup's) that fails
+THROUGHPUT_TOLERANCE = 0.10
 
 
 def _sample(soc, limit, seed=0):
@@ -307,49 +313,42 @@ def run_bench(effort: str = "medium", per_preset: int = 8,
         "power_parity": record["power"]["parity"],
         "power_compliance": record["power"]["budget_overruns"] == 0,
     }
+    record["summary"] = {**summarize(record), **hardware()}
     return record
 
 
-def check_regression(record: dict, committed_path: Path) -> list[str]:
-    """Failures of *record* against the committed baseline (>10%).
+def summarize(record: dict) -> dict:
+    """The run-ledger summary fields this record knows."""
+    throughput, search = record["throughput"], record["search"]
+    return {
+        "workload": throughput["workload"],
+        "width": throughput["width"],
+        "budget": record["config"]["budget"],
+        "best_cost": search["new_best_cost"],
+        "evals_per_s": throughput["fast_evals_per_s"],
+        "gate_skip_rate": search["gate_skip_rate"],
+    }
 
-    Only applies when the throughput study's configuration (packer
-    effort and partition count) matches the committed one — comparing
-    a quick-effort run against a medium-effort baseline would measure
-    the config, not the code.  Absolute evals/sec also depends on the
-    hardware, so a drop only counts as a regression when the
-    *speedup over the seed engine* (which runs on the same hardware in
-    the same process) drops with it: a slower machine slows both
-    engines, a hot-path regression slows only the fast one.
-    """
-    if not committed_path.exists():
-        print(f"note: no committed baseline at {committed_path}; "
-              f"regression check skipped")
-        return []
-    committed = json.loads(committed_path.read_text())
-    comparable = all(
-        committed["config"].get(key) == record["config"].get(key)
-        for key in ("effort", "n_partitions")
+
+def gate(record: dict, baseline: str | Path) -> RegressionReport:
+    """``--gate`` against the committed record at *baseline*: a timed
+    check of evals/sec, the seed engine as yardstick, when the packer
+    effort and partition count match (else it measures the config)."""
+    report, committed = against_committed(
+        record, baseline, ("effort", "n_partitions"), "throughput config"
     )
-    if not comparable:
-        print("note: throughput config differs from the committed "
-              "baseline; regression check skipped (absolute gates "
-              "still apply)")
-        return []
-    baseline = committed["throughput"]
-    current = record["throughput"]
-    failures = []
-    if (
-        current["fast_evals_per_s"] < 0.9 * baseline["fast_evals_per_s"]
-        and current["speedup"] < 0.9 * baseline["speedup"]
-    ):
-        failures.append(
-            f"evals/sec regression: {current['fast_evals_per_s']} < 90% "
-            f"of committed {baseline['fast_evals_per_s']} and speedup "
-            f"{current['speedup']}x < 90% of committed "
-            f"{baseline['speedup']}x"
-        )
-    return failures
+    if committed is not None:
+        report.timed("evals_per_s", _timed(record), [_timed(committed)],
+                     THROUGHPUT_TOLERANCE, higher_is_better=True,
+                     label="throughput")
+    return report
+
+
+def _timed(record: dict) -> dict:
+    """The summary, with evals/sec normalized by the seed engine's: the
+    speedup."""
+    return dict(summarize(record),
+                normalized=record["throughput"]["speedup"])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -366,25 +365,9 @@ def main(argv: list[str] | None = None) -> int:
              "(medium effort, same partition sample) with a reduced "
              "search budget, so the --gate regression check applies",
     )
-    parser.add_argument(
-        "--out", default="BENCH_eval.json",
-        help="output JSON path (default: BENCH_eval.json)",
-    )
-    parser.add_argument(
-        "--gate", action="store_true",
-        help="fail on >10%% evals/sec regression vs the committed "
-             "BENCH_eval.json (and on any absolute gate)",
-    )
-    parser.add_argument(
-        "--baseline", default=str(Path(__file__).parent.parent
-                                  / "BENCH_eval.json"),
-        help="committed baseline JSON for the regression gate",
-    )
-    parser.add_argument(
-        "--obs-root", default=None, metavar="DIR",
-        help="also fold this record into the persistent run ledger "
-             "at DIR ('repro runs regress' then gates on its trend)",
-    )
+    add_arguments(parser, "eval", gate_help=(
+        "fail on >10%% evals/sec regression vs the committed "
+        "BENCH_eval.json (and on any absolute gate)"))
     args = parser.parse_args(argv)
     if args.quick and args.ci:
         parser.error("--quick and --ci are mutually exclusive")
@@ -400,7 +383,8 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     record = run_bench(**config)
     record["total_s"] = round(time.perf_counter() - started, 3)
-    Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
+    # gate before conclude() writes --out (by default, the baseline)
+    report = gate(record, args.baseline) if args.gate else None
 
     throughput = record["throughput"]
     search = record["search"]
@@ -422,23 +406,7 @@ def main(argv: list[str] | None = None) -> int:
           f"{power['budget_overruns']} overruns, makespan stretch "
           f"{power['makespan_stretch']}x, gated anneal skipped "
           f"{100 * power['search']['gate_skip_rate']:.1f}%")
-    print(f"wrote {args.out} ({record['total_s']}s)")
-    if args.obs_root:
-        from repro.obs import RunLedger
-
-        entry = RunLedger(args.obs_root).fold_bench(record)
-        print(f"ledger: recorded {entry['run_id'][:12]} -> "
-              f"{args.obs_root}")
-
-    failures = [
-        name for name, passed in record["gates"].items() if not passed
-    ]
-    if args.gate:
-        failures += check_regression(record, Path(args.baseline))
-    if failures:
-        print(f"BENCH GATES FAILED: {', '.join(failures)}",
-              file=sys.stderr)
-    return 1 if failures else 0
+    return conclude(record, args, report)
 
 
 def test_eval_bench(benchmark, save_artifact):
@@ -446,10 +414,7 @@ def test_eval_bench(benchmark, save_artifact):
     record = benchmark.pedantic(run_bench, rounds=1, iterations=1)
     save_artifact("bench_eval", json.dumps(record, indent=2))
 
-    assert record["gates"]["parity"]
-    assert record["gates"]["speedup_3x"], record["throughput"]
-    assert record["gates"]["search_cost"], record["search"]
-    assert record["gates"]["search_wallclock"], record["search"]
+    assert not failed_gates(record), record
 
     benchmark.extra_info["speedup"] = record["throughput"]["speedup"]
     benchmark.extra_info["gate_skip_rate"] = \

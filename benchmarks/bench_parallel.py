@@ -58,9 +58,9 @@ import json
 import os
 import sys
 import time
-from pathlib import Path
 
 from repro.experiments.common import PACK_EFFORT
+from repro.obs import hardware
 from repro.runner import WorkerPool, expand_grid, run_sweep
 from repro.search import optimize
 from repro.search.parallel import (
@@ -70,6 +70,8 @@ from repro.search.parallel import (
     portfolio_search,
 )
 from repro.workloads import build
+
+from harness import add_arguments, conclude, failed_gates
 
 #: the portfolio study's workload / shape (mirrors BENCH_eval's stress
 #: configuration)
@@ -378,7 +380,22 @@ def run_bench(effort: str = "medium", budget: int = 2000,
             f"(measured {portfolio['speedup']}x, target "
             f"{speedup_target}x)"
         )
+    record["summary"] = {**summarize(record), **hardware()}
     return record
+
+
+def summarize(record: dict) -> dict:
+    """The run-ledger summary fields this record knows."""
+    portfolio = record["portfolio"]
+    evals, wall = portfolio["portfolio_evaluations"], portfolio["portfolio_s"]
+    return {
+        "workload": portfolio["workload"],
+        "width": portfolio["width"],
+        "budget": portfolio["budget"],
+        "workers": portfolio["workers"],
+        "best_cost": portfolio["portfolio_best_cost"],
+        "evals_per_s": round(evals / wall, 2) if evals and wall else None,
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -388,15 +405,7 @@ def main(argv: list[str] | None = None) -> int:
         help="CI preset: quick packer effort and a 600-eval budget "
              "(all gates still apply)",
     )
-    parser.add_argument(
-        "--out", default="BENCH_parallel.json",
-        help="output JSON path (default: BENCH_parallel.json)",
-    )
-    parser.add_argument(
-        "--obs-root", default=None, metavar="DIR",
-        help="also fold this record into the persistent run ledger "
-             "at DIR ('repro runs regress' then gates on its trend)",
-    )
+    add_arguments(parser, "parallel")
     args = parser.parse_args(argv)
     config = (
         # an 800-eval quick-effort portfolio is too small to amortize
@@ -413,7 +422,6 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     record = run_bench(**config)
     record["total_s"] = round(time.perf_counter() - started, 3)
-    Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
 
     portfolio = record["portfolio"]
     sweep = record["warm_sweep"]
@@ -444,25 +452,7 @@ def main(argv: list[str] | None = None) -> int:
           f"{supervision['bare_s']}s = "
           f"{supervision['supervision_overhead']}x overhead "
           f"(gate <= 1.05x)")
-    note = record.get("speedup_note")
-    if note:
-        print(f"note: {note}")
-    print(f"wrote {args.out} ({record['total_s']}s)")
-    if args.obs_root:
-        from repro.obs import RunLedger
-
-        entry = RunLedger(args.obs_root).fold_bench(record)
-        print(f"ledger: recorded {entry['run_id'][:12]} -> "
-              f"{args.obs_root}")
-
-    failures = [
-        name for name, passed in record["gates"].items()
-        if passed is False
-    ]
-    if failures:
-        print(f"BENCH GATES FAILED: {', '.join(failures)}",
-              file=sys.stderr)
-    return 1 if failures else 0
+    return conclude(record, args)
 
 
 def test_parallel_bench(benchmark, save_artifact):
@@ -470,15 +460,7 @@ def test_parallel_bench(benchmark, save_artifact):
     record = benchmark.pedantic(run_bench, rounds=1, iterations=1)
     save_artifact("bench_parallel", json.dumps(record, indent=2))
 
-    assert record["gates"]["budget"], record["portfolio"]
-    assert record["gates"]["cost"], record["portfolio"]
-    assert record["gates"]["warm_pool"], record["warm_sweep"]
-    assert record["gates"]["power_budget_compliance"], \
-        record["power_portfolio"]
-    assert record["gates"]["supervision_overhead"], \
-        record["supervision"]
-    if record["gates"]["speedup"] is not None:
-        assert record["gates"]["speedup"], record["portfolio"]
+    assert not failed_gates(record), record
 
     benchmark.extra_info["speedup"] = record["portfolio"]["speedup"]
     benchmark.extra_info["pool_reuse_speedup"] = \

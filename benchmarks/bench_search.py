@@ -44,11 +44,18 @@ from repro.core.cost import CostModel, CostWeights, ScheduleEvaluator
 from repro.core.exhaustive import exhaustive_search
 from repro.core.sharing import all_partitions, bell_number
 from repro.experiments.common import PACK_EFFORT
+from repro.obs import RegressionReport, hardware
 from repro.search import Budget, SearchProblem, registry, run_strategy
 from repro.workloads import build
 
+from harness import add_arguments, against_committed, conclude, failed_gates
+
 #: budgets at which the large-instance trajectory is sampled
 MILESTONES = (25, 50, 100, 200)
+
+#: ``--gate`` tolerances: best cost, strategy wall-clock
+COST_TOLERANCE = 0.02
+WALL_TOLERANCE = 0.25
 
 
 def _model(soc, width: int, effort: str) -> CostModel:
@@ -157,72 +164,65 @@ def run_bench(effort: str = "medium", small_budget: int = 52,
         name: data["best_cost"] <= greedy
         for name, data in record["large"]["strategies"].items()
     }
+    record["gates"] = {
+        "gap_2pct": _worst_gap(record) <= 2.0,
+        "beats_greedy": all(record["large"]["beats_greedy"].values()),
+    }
+    record["summary"] = {**summarize(record), **hardware()}
     return record
 
 
-def check_regression(record: dict, committed_path: Path) -> list[str]:
-    """Failures of *record* against the committed baseline.
+def _worst_gap(record: dict) -> float:
+    return max(data["gap_percent"]
+               for data in record["small"]["strategies"].values())
 
-    Only applies when the configuration (packer effort and budgets)
-    matches the committed one.  Cost comparisons are deterministic per
-    configuration, so a > 2% regression of any strategy's best cost is
-    a genuine trajectory regression.  Wall-clock comparisons are
-    hardware-dependent, so a strategy-time regression only counts when
-    the ratio against the exhaustive search — run in the same process
-    on the same hardware — regresses with it (PR 3's guard idiom: a
-    slower machine slows both sides, a search-layer regression slows
-    only one).
-    """
-    if not committed_path.exists():
-        print(f"note: no committed baseline at {committed_path}; "
-              f"regression check skipped")
-        return []
-    committed = json.loads(committed_path.read_text())
-    comparable = all(
-        committed["config"].get(key) == record["config"].get(key)
-        for key in ("effort", "small_budget", "large_budget", "seed")
+
+def summarize(record: dict) -> dict:
+    """The run-ledger summary fields this record knows."""
+    large = record["large"]
+    return {
+        "workload": large["workload"],
+        "width": large["width"],
+        "budget": large["budget"],
+        "best_cost": min(data["best_cost"]
+                         for data in large["strategies"].values()),
+    }
+
+
+def gate(record: dict, baseline: str | Path) -> RegressionReport:
+    """``--gate`` against the committed record at *baseline*: a
+    deterministic check of each strategy's best cost (one the baseline
+    lacks is skipped), a timed check of the summed strategy wall-clock
+    with the exhaustive search as yardstick."""
+    report, committed = against_committed(
+        record, baseline, ("effort", "small_budget", "large_budget", "seed")
     )
-    if not comparable:
-        print("note: config differs from the committed baseline; "
-              "regression check skipped (absolute gates still apply)")
-        return []
-    failures = []
+    if committed is None:
+        return report
     for study in ("small", "large"):
         for name, data in record[study]["strategies"].items():
-            baseline = committed[study]["strategies"].get(name)
-            if baseline is None:
-                continue  # newly registered strategy: no baseline yet
-            if data["best_cost"] > 1.02 * baseline["best_cost"]:
-                failures.append(
-                    f"{study}/{name} best cost regression: "
-                    f"{data['best_cost']} > 102% of committed "
-                    f"{baseline['best_cost']}"
-                )
-    strategy_s = sum(
-        d["elapsed_s"]
-        for study in ("small", "large")
-        for d in record[study]["strategies"].values()
-    )
-    committed_strategy_s = sum(
-        d["elapsed_s"]
-        for study in ("small", "large")
-        for d in committed[study]["strategies"].values()
-    )
-    yardstick = record["small"]["exhaustive_s"]
-    committed_yardstick = committed["small"]["exhaustive_s"]
-    if (
-        committed_strategy_s > 0 and yardstick > 0
-        and committed_yardstick > 0
-        and strategy_s > 1.25 * committed_strategy_s
-        and strategy_s / yardstick
-        > 1.25 * (committed_strategy_s / committed_yardstick)
-    ):
-        failures.append(
-            f"strategy wall-clock regression: {strategy_s:.3f}s > 125% "
-            f"of committed {committed_strategy_s:.3f}s and the "
-            f"exhaustive-normalized ratio regressed with it"
-        )
-    return failures
+            base = committed[study]["strategies"].get(name)
+            if base is None:
+                report.notes.append(f"{study}/{name}: no committed "
+                                    f"baseline; cost check skipped")
+                continue
+            report.deterministic(f"{study}/{name} best_cost",
+                                 data["best_cost"], [base["best_cost"]],
+                                 COST_TOLERANCE,
+                                 label=f"{study}/{name} best cost")
+    report.timed("strategy_s", _timed(record), [_timed(committed)],
+                 WALL_TOLERANCE, label="strategy wall-clock s")
+    return report
+
+
+def _timed(record: dict) -> dict:
+    """The summary, with the summed strategy wall-clock and it
+    normalized by the exhaustive search's."""
+    strategy_s = sum(data["elapsed_s"] for study in ("small", "large")
+                     for data in record[study]["strategies"].values())
+    exhaustive_s = record["small"]["exhaustive_s"]
+    return dict(record.get("summary", {}), strategy_s=strategy_s,
+                normalized=strategy_s / exhaustive_s if exhaustive_s else None)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -234,64 +234,28 @@ def main(argv: list[str] | None = None) -> int:
              "the committed-baseline regression check is skipped — "
              "configs differ)",
     )
-    parser.add_argument(
-        "--out", default="BENCH_search.json",
-        help="output JSON path (default: BENCH_search.json)",
-    )
-    parser.add_argument(
-        "--gate", action="store_true",
-        help="fail on cost/wall-clock regressions vs the committed "
-             "BENCH_search.json (and on any absolute gate)",
-    )
-    parser.add_argument(
-        "--baseline", default=str(Path(__file__).parent.parent
-                                  / "BENCH_search.json"),
-        help="committed baseline JSON for the regression gate",
-    )
-    parser.add_argument(
-        "--obs-root", default=None, metavar="DIR",
-        help="also fold this record into the persistent run ledger "
-             "at DIR ('repro runs regress' then gates on its trend)",
-    )
+    add_arguments(parser, "search", gate_help=(
+        "fail on cost/wall-clock regressions vs the committed "
+        "BENCH_search.json (and on any absolute gate)"))
     args = parser.parse_args(argv)
     effort = "quick" if args.quick else "medium"
     large_budget = 200
     started = time.perf_counter()
     record = run_bench(effort=effort, large_budget=large_budget)
     record["total_s"] = round(time.perf_counter() - started, 3)
-    Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
+    # gate before conclude() writes --out (by default, the baseline)
+    report = gate(record, args.baseline) if args.gate else None
 
-    worst_gap = max(
-        data["gap_percent"]
-        for data in record["small"]["strategies"].values()
-    )
     print(f"small ({record['small']['workload']}): exhaustive "
           f"{record['small']['exhaustive_cost']}, worst strategy gap "
-          f"{worst_gap:.2f}%")
+          f"{_worst_gap(record):.2f}%")
     print(f"large ({record['large']['workload']}, space "
           f"{record['large']['space_size']:.3g}): "
           + ", ".join(
               f"{name} {data['best_cost']}"
               for name, data in record["large"]["strategies"].items()
           ))
-    print(f"wrote {args.out} ({record['total_s']}s)")
-    if args.obs_root:
-        from repro.obs import RunLedger
-
-        entry = RunLedger(args.obs_root).fold_bench(record)
-        print(f"ledger: recorded {entry['run_id'][:12]} -> "
-              f"{args.obs_root}")
-    failures = []
-    if worst_gap > 2.0:
-        failures.append(f"worst gap {worst_gap:.2f}% > 2%")
-    if not all(record["large"]["beats_greedy"].values()):
-        failures.append("a strategy lost to the greedy baseline")
-    if args.gate:
-        failures += check_regression(record, Path(args.baseline))
-    if failures:
-        print(f"BENCH GATES FAILED: {'; '.join(failures)}",
-              file=sys.stderr)
-    return 1 if failures else 0
+    return conclude(record, args, report)
 
 
 def test_search_bench(benchmark, save_artifact):
@@ -299,13 +263,9 @@ def test_search_bench(benchmark, save_artifact):
     record = benchmark.pedantic(run_bench, rounds=1, iterations=1)
     save_artifact("bench_search", json.dumps(record, indent=2))
 
-    for name, data in record["small"]["strategies"].items():
-        assert data["gap_percent"] <= 2.0, (name, data)
-    assert all(record["large"]["beats_greedy"].values())
+    assert not failed_gates(record), record
 
-    benchmark.extra_info["worst_gap_percent"] = max(
-        d["gap_percent"] for d in record["small"]["strategies"].values()
-    )
+    benchmark.extra_info["worst_gap_percent"] = _worst_gap(record)
     benchmark.extra_info["large_best"] = min(
         d["best_cost"] for d in record["large"]["strategies"].values()
     )

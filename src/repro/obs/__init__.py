@@ -17,8 +17,9 @@ trajectory.  Enable with :func:`configure` or by exporting
 On top of the per-run tier sits the cross-run tier: a persistent
 :class:`RunLedger` under ``--obs-root`` (``repro runs
 list|show|compare|diff|regress|gc``), live streaming of a run in
-flight (:mod:`repro.obs.stream`, ``repro watch``), and trend
-regression checks (:mod:`repro.obs.regress`).
+flight (:mod:`repro.obs.stream`, ``repro watch``), and the regression
+checks (:mod:`repro.obs.regress`) that ``repro runs regress`` and the
+benches' ``--gate`` share.
 """
 
 from .ledger import (
@@ -38,7 +39,7 @@ from .metrics import (
     MetricsRegistry,
     MetricsSnapshot,
 )
-from .regress import RegressionReport, check_regression
+from .regress import RegressionReport, check_regression, hardware
 from .report import LANES_FILE, TRACE_FILE, render_report
 from .runtime import (
     ENV_RUN_DIR,
@@ -107,6 +108,7 @@ __all__ = [
     "enabled",
     "event",
     "flush",
+    "hardware",
     "match_key",
     "read_events",
     "render_report",

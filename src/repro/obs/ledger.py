@@ -268,62 +268,20 @@ class RunLedger:
 
         Benchmark records become first-class ledger entries under a
         ``bench:<name>`` command, so ``repro runs regress`` tracks
-        their trend with the same machinery as CLI runs.
+        their trend with the same machinery as CLI runs.  Each bench
+        writes the summary fields it knows (workload, width, budget,
+        best cost, evals/s, hardware) into its record's ``summary``;
+        fields it does not know stay ``None``.
         """
-        name = bench_record.get("benchmark", "unknown")
-        command = f"bench:{name}"
+        command = f"bench:{bench_record.get('benchmark', 'unknown')}"
         params = dict(bench_record.get("config", {}))
-        summary = {
-            "command": command,
-            "workload": None,
-            "width": None,
-            "budget": params.get("budget"),
-            "engine": "fast",
-            "workers": None,
-            "match_key": match_key(command, params),
-            "best_cost": None,
-            "n_evaluated": None,
-            "n_gated": None,
-            "gate_skip_rate": None,
-            "n_jobs": None,
-            "elapsed_s": bench_record.get("total_s"),
-            "evals_per_s": None,
-            "platform": None,
-            "cpu_count": os.cpu_count(),
-            "python_version": None,
-            "package_version": None,
-            "cache_version": None,
-        }
-        if name == "eval":
-            throughput = bench_record.get("throughput", {})
-            search = bench_record.get("search", {})
-            summary["workload"] = throughput.get("workload")
-            summary["width"] = throughput.get("width")
-            summary["evals_per_s"] = throughput.get("fast_evals_per_s")
-            summary["best_cost"] = search.get("new_best_cost")
-            summary["gate_skip_rate"] = search.get("gate_skip_rate")
-        elif name == "search":
-            large = bench_record.get("large", {})
-            strategies = large.get("strategies", {})
-            costs = [
-                data.get("best_cost") for data in strategies.values()
-                if data.get("best_cost") is not None
-            ]
-            summary["workload"] = large.get("workload")
-            summary["width"] = large.get("width")
-            summary["budget"] = large.get("budget")
-            summary["best_cost"] = min(costs) if costs else None
-        elif name == "parallel":
-            portfolio = bench_record.get("portfolio", {})
-            summary["workload"] = portfolio.get("workload")
-            summary["width"] = portfolio.get("width")
-            summary["budget"] = portfolio.get("budget")
-            summary["workers"] = portfolio.get("workers")
-            summary["best_cost"] = portfolio.get("portfolio_best_cost")
-            evals = portfolio.get("portfolio_evaluations")
-            wall = portfolio.get("portfolio_s")
-            if evals and wall:
-                summary["evals_per_s"] = round(evals / wall, 2)
+        # a run dir's summary fields, unknown ones None
+        summary = dict.fromkeys(_derive_summary(None, {}, [], []))
+        summary.update(engine="fast", budget=params.get("budget"),
+                       elapsed_s=bench_record.get("total_s"))
+        summary.update(bench_record.get("summary", {}))
+        summary.update(command=command,
+                       match_key=match_key(command, params))
         record = {
             "schema": 1,
             "source": "bench",

@@ -48,6 +48,7 @@ import queue as queue_mod
 import random
 import time
 import traceback
+from multiprocessing.reduction import ForkingPickler
 from typing import Callable, Sequence
 
 from . import faults, obs
@@ -99,13 +100,13 @@ class PoolBroken(RuntimeError):
 def _worker_main(task_queue, result_queue, initializer, initargs,
                  parent_pid: int) -> None:
     """Worker loop: run ``(task_id, fn, args)`` tuples until the
-    ``None`` sentinel.  Exceptions are returned as tracebacks, never
-    raised — only a crash (or a kill) ends the loop early, and so does
-    the death of the pool's owner: a SIGKILLed owner sends no
-    sentinel, so an idle worker checks every :data:`_PARENT_POLL_S`
-    that its parent is still *parent_pid*.  The owner passes its own
-    pid, so an owner that dies while the worker is still starting is
-    noticed too."""
+    ``None`` sentinel.  Exceptions, and results that do not pickle, are
+    returned as tracebacks, never raised — only a crash (or a kill)
+    ends the loop early, and so does the death of the pool's owner: a
+    SIGKILLed owner sends no sentinel, so an idle worker checks every
+    :data:`_PARENT_POLL_S` that its parent is still *parent_pid*.  The
+    owner passes its own pid, so an owner that dies while the worker is
+    still starting is noticed too."""
     if initializer is not None:
         try:
             initializer(*initargs)
@@ -126,11 +127,14 @@ def _worker_main(task_queue, result_queue, initializer, initargs,
             return
         task_id, fn, args = item
         try:
-            value = fn(*args)
+            # pickle here, not in the queue's feeder thread: that thread
+            # prints a pickling error and drops the result, so the owner
+            # would wait for it forever (or until the task's timeout)
+            payload = bytes(ForkingPickler.dumps(fn(*args)))
         except Exception:
             result_queue.put((task_id, False, traceback.format_exc()))
         else:
-            result_queue.put((task_id, True, value))
+            result_queue.put((task_id, True, payload))
 
 
 class _Task:
@@ -416,7 +420,7 @@ class SupervisedPool:
                     progressed = True
                     if ok:
                         outstanding -= 1
-                        yield task_id, True, value
+                        yield task_id, True, ForkingPickler.loads(value)
                     else:
                         quarantined = fail(task, value)
                         if quarantined is not None:

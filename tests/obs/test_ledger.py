@@ -233,14 +233,18 @@ class TestGc:
 
 
 class TestFoldBench:
+    """A bench record carries its own ledger ``summary``; the ledger
+    fills only what no bench knows and never reads a study layout."""
+
     def test_eval_record_maps_to_summary(self, tmp_path):
         ledger = RunLedger(tmp_path / "ledger")
         entry = ledger.fold_bench({
             "benchmark": "eval",
             "config": {"effort": "quick", "budget": 100, "seed": 7},
-            "throughput": {"workload": "big12m", "width": 32,
-                           "fast_evals_per_s": 1234.5},
-            "search": {"new_best_cost": 2.75, "gate_skip_rate": 0.3},
+            "summary": {"workload": "big12m", "width": 32,
+                        "best_cost": 2.75, "evals_per_s": 1234.5,
+                        "gate_skip_rate": 0.3, "platform": "Linux-x",
+                        "python_version": "3.x", "cpu_count": 3},
             "total_s": 12.5,
         })
         s = entry["summary"]
@@ -248,37 +252,37 @@ class TestFoldBench:
         assert s["best_cost"] == 2.75
         assert s["evals_per_s"] == 1234.5
         assert s["workload"] == "big12m"
-        assert s["elapsed_s"] == 12.5
+        assert s["budget"] == 100          # from the config
+        assert s["elapsed_s"] == 12.5      # from total_s
+        assert (s["platform"], s["cpu_count"]) == ("Linux-x", 3)
+        assert s["match_key"] == match_key("bench:eval",
+                                           {"effort": "quick",
+                                            "budget": 100, "seed": 7})
 
     def test_parallel_record_maps_to_summary(self, tmp_path):
+        """Fields a record does not carry stay unknown — hardware too,
+        never the folding machine's."""
         ledger = RunLedger(tmp_path / "ledger")
         entry = ledger.fold_bench({
-            "benchmark": "parallel",
-            "config": {"effort": "quick"},
-            "portfolio": {"workload": "big12m", "width": 32,
-                          "budget": 200, "workers": 2,
-                          "portfolio_best_cost": 3.1,
-                          "portfolio_evaluations": 400,
-                          "portfolio_s": 8.0},
-            "total_s": 9.0,
+            "benchmark": "parallel", "config": {},
+            "summary": {"workers": 2, "best_cost": 3.1},
         })
         s = entry["summary"]
-        assert s["command"] == "bench:parallel"
-        assert s["best_cost"] == 3.1
-        assert s["evals_per_s"] == 50.0
         assert s["workers"] == 2
+        assert s["platform"] is None
+        assert s["cpu_count"] is None
+        assert s["evals_per_s"] is None
+        assert set(s) == set(ledger_mod._derive_summary(None, {}, [], []))
 
-    def test_search_record_takes_best_strategy(self, tmp_path):
+    def test_any_bench_name_folds_the_same_way(self, tmp_path):
         ledger = RunLedger(tmp_path / "ledger")
         entry = ledger.fold_bench({
-            "benchmark": "search",
-            "config": {"effort": "medium"},
-            "large": {"workload": "big12m", "width": 32, "budget": 200,
-                      "strategies": {"anneal": {"best_cost": 3.3},
-                                     "genetic": {"best_cost": 3.2}}},
-            "total_s": 30.0,
+            "benchmark": "kernels", "config": {},
+            "summary": {"best_cost": 3.2, "workload": "mini"},
         })
+        assert entry["summary"]["command"] == "bench:kernels"
         assert entry["summary"]["best_cost"] == 3.2
+        assert entry["bench"]["benchmark"] == "kernels"
 
     def test_bench_records_share_the_regression_machinery(
             self, tmp_path):
@@ -286,7 +290,7 @@ class TestFoldBench:
         ledger = RunLedger(tmp_path / "ledger")
         record = {
             "benchmark": "eval", "config": {"effort": "quick"},
-            "throughput": {}, "search": {}, "total_s": 1.0,
+            "summary": {"best_cost": 3.0}, "total_s": 1.0,
         }
         a = ledger.fold_bench(record)
         b = ledger.fold_bench(dict(record, total_s=2.0))

@@ -13,6 +13,7 @@ import select
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -83,6 +84,10 @@ def _hang_once(marker, x):
 
 def _pid():
     return os.getpid()
+
+
+def _lock():
+    return threading.Lock()
 
 
 def _bad_init():
@@ -184,6 +189,20 @@ class TestSupervision:
                 out = run_all(pool, [(_crash_once, (marker, run))],
                               backoff_base_s=0.01)
                 assert out == {0: (True, run)}
+
+    def test_unpicklable_result_fails_with_its_traceback(self):
+        """A result the queue cannot pickle comes back as a failure
+        that names the pickling error, at once — not a hang (the
+        timeout is only a backstop)."""
+        started = time.monotonic()
+        with SupervisedPool(1, "fork") as pool:
+            out = run_all(pool, [(_lock, ()), (_double, (4,))],
+                          timeout_s=3, max_retries=0)
+        ok0, value0 = out[0]
+        assert not ok0
+        assert "pickle" in value0
+        assert out[1] == (True, 8)
+        assert time.monotonic() - started < 3
 
     def test_initializer_failure_breaks_pool(self):
         with SupervisedPool(1, "fork", initializer=_bad_init,

@@ -1,6 +1,6 @@
 """Evaluation-engine benchmark: throughput, parity, and gate skip rates.
 
-Four studies, recorded into ``BENCH_eval.json`` (the repo's perf
+Five studies, recorded into ``BENCH_eval.json`` (the repo's perf
 trajectory for the schedule-evaluation hot path):
 
 * **parity** — the fast engine (:class:`repro.tam.packing.PackContext`
@@ -29,6 +29,12 @@ trajectory for the schedule-evaluation hot path):
   constrained-vs-unconstrained makespan stretch is recorded,
   not gated — a binding budget usually lengthens schedules but a
   greedy packer may legally land shorter).
+* **staircase** — the digital Pareto staircases of every preset's
+  distinct digital cores at W=32 and W=64, from the closed-form kernel
+  (:func:`repro.wrapper.pareto.pareto_points`, process memo cleared)
+  and from a loop of full :func:`repro.wrapper.design.design_wrapper`
+  designs.  Staircases/sec of both land in the record.  Gate: zero
+  mismatches.
 
 With ``--gate``, the record is additionally compared against the
 committed ``BENCH_eval.json``: a >10% drop in big12m evaluations/sec
@@ -60,7 +66,9 @@ from repro.core.sharing import representative_partitions
 from repro.experiments.common import PACK_EFFORT
 from repro.obs import RegressionReport, hardware
 from repro.search import Budget, SearchProblem, registry, run_strategy
-from repro.workloads import build
+from repro.workloads import build, names
+from repro.wrapper.design import design_wrapper
+from repro.wrapper.pareto import ParetoPoint, _pareto_points, pareto_points
 
 from harness import add_arguments, against_committed, conclude, failed_gates
 
@@ -82,6 +90,13 @@ POWER_WORKLOAD = "big12mp"
 
 #: ``--gate``: the evals/sec drop (with the speedup's) that fails
 THROUGHPUT_TOLERANCE = 0.10
+
+#: SOC TAM widths of the staircase study
+STAIRCASE_WIDTHS = (32, 64)
+
+#: kernel passes per width (the best is kept; one pass takes tens of
+#: milliseconds, the reference loop's single pass one to three seconds)
+STAIRCASE_ROUNDS = 5
 
 
 def _sample(soc, limit, seed=0):
@@ -284,9 +299,57 @@ def power_study(effort: str, n_partitions: int, budget: int) -> dict:
     }
 
 
+def _reference_staircase(core, width):
+    """The staircase from one full wrapper design per width."""
+    points, best = [], None
+    for w in range(1, min(width, core.max_useful_width) + 1):
+        cycles = design_wrapper(core, w).test_time
+        if best is None or cycles < best:
+            points.append(ParetoPoint(width=w, time=cycles))
+            best = cycles
+    return tuple(points)
+
+
+def staircase_study() -> dict:
+    """Closed-form staircases against the ``design_wrapper`` loop, on
+    every preset's distinct digital cores."""
+    cores = list(dict.fromkeys(
+        core for name in names() for core in build(name).digital_cores
+    ))
+    widths = {}
+    mismatches = 0
+    for width in STAIRCASE_WIDTHS:
+        kernel_s = float("inf")
+        for _ in range(STAIRCASE_ROUNDS):
+            _pareto_points.cache_clear()
+            started = time.perf_counter()
+            kernel = [pareto_points(core, width) for core in cores]
+            kernel_s = min(kernel_s, time.perf_counter() - started)
+        started = time.perf_counter()
+        reference = [_reference_staircase(core, width) for core in cores]
+        reference_s = time.perf_counter() - started
+        wrong = sum(a != b for a, b in zip(kernel, reference))
+        mismatches += wrong
+        widths[str(width)] = {
+            "kernel_staircases_per_s": round(len(cores) / kernel_s, 1),
+            "reference_staircases_per_s": round(
+                len(cores) / reference_s, 1
+            ),
+            "speedup": round(reference_s / kernel_s, 1),
+            "mismatches": wrong,
+        }
+    _pareto_points.cache_clear()
+    return {
+        "n_cores": len(cores),
+        "widths": widths,
+        "mismatches": mismatches,
+        "parity": mismatches == 0,
+    }
+
+
 def run_bench(effort: str = "medium", per_preset: int = 8,
               n_partitions: int = 40, budget: int = 2000) -> dict:
-    """The full benchmark record (all four studies)."""
+    """The full benchmark record (all five studies)."""
     record = {
         "benchmark": "eval",
         "config": {
@@ -301,6 +364,7 @@ def run_bench(effort: str = "medium", per_preset: int = 8,
         "search": search_study(effort, budget),
         "power": power_study(effort, min(n_partitions, 25),
                              min(budget, 500)),
+        "staircase": staircase_study(),
     }
     record["gates"] = {
         "parity": record["parity"]["parity"]
@@ -312,6 +376,7 @@ def run_bench(effort: str = "medium", per_preset: int = 8,
         < record["search"]["old_wall_s"],
         "power_parity": record["power"]["parity"],
         "power_compliance": record["power"]["budget_overruns"] == 0,
+        "staircase_parity": record["staircase"]["parity"],
     }
     record["summary"] = {**summarize(record), **hardware()}
     return record
@@ -406,6 +471,12 @@ def main(argv: list[str] | None = None) -> int:
           f"{power['budget_overruns']} overruns, makespan stretch "
           f"{power['makespan_stretch']}x, gated anneal skipped "
           f"{100 * power['search']['gate_skip_rate']:.1f}%")
+    stairs = record["staircase"]
+    for width, study in stairs["widths"].items():
+        print(f"staircases ({stairs['n_cores']} cores, W={width}): "
+              f"kernel {study['kernel_staircases_per_s']}/s vs "
+              f"design_wrapper {study['reference_staircases_per_s']}/s "
+              f"= {study['speedup']}x, {study['mismatches']} mismatches")
     return conclude(record, args, report)
 
 

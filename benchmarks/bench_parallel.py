@@ -402,7 +402,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--quick", action="store_true",
-        help="CI preset: quick packer effort and a 600-eval budget "
+        help="CI preset: quick packer effort and an 800-eval budget "
              "(all gates still apply)",
     )
     add_arguments(parser, "parallel")

@@ -40,8 +40,7 @@ The library covers the whole stack the paper builds on:
 * :mod:`repro.runner` — a batch evaluation engine: (workload x TAM
   width x optimizer config x search strategy) grids fanned across
   ``multiprocessing`` workers, with a content-hash keyed on-disk cache
-  for Pareto staircases and job results, streaming JSONL plus summary
-  tables;
+  for job results, streaming JSONL plus summary tables;
 * :mod:`repro.reporting` — monospace tables, ASCII plots, and JSONL
   helpers the drivers and the sweep engine share.
 

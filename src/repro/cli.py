@@ -633,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pserve.add_argument(
         "--cache-dir", default=None,
-        help="disk cache shared by served jobs",
+        help="job result cache shared by served sweep jobs",
     )
     pserve.add_argument(
         "--timeout", dest="job_timeout", type=float, default=None,

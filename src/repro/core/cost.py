@@ -91,10 +91,10 @@ class ScheduleEvaluator:
     :param include_self_test: schedule converter-BIST tasks per wrapper
         (the paper's future-work extension; off by default, matching
         the paper's "self-test mode test time has not been considered").
-    :param pareto: an optional pre-built (possibly pre-primed) digital
-        Pareto staircase cache; :mod:`repro.runner` seeds one from its
-        on-disk cache so workers skip wrapper design entirely.  Must
-        have ``max_width >= width``.
+    :param pareto: an optional pre-built digital Pareto staircase
+        cache, e.g. one shared with another evaluator of the same SOC
+        (one is built when omitted; staircases are also memoized per
+        process).  Must have ``max_width >= width``.
     :param engine: ``"fast"`` (the :class:`~repro.tam.packing.PackContext`
         hot path) or ``"reference"`` (the retained seed packer of
         :mod:`repro.tam.reference` — benchmarks and parity tests only).

@@ -208,7 +208,7 @@ def _derive_summary(manifest: dict | None, metrics: dict,
         "elapsed_s": round(elapsed, 3) if elapsed else None,
         "evals_per_s": evals_per_s,
         "platform": (manifest or {}).get("platform") or None,
-        "cpu_count": os.cpu_count(),
+        "cpu_count": (manifest or {}).get("cpu_count"),
         "python_version": (manifest or {}).get("python_version"),
         "package_version": (manifest or {}).get("package_version"),
         "cache_version": (manifest or {}).get("cache_version"),

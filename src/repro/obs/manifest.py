@@ -39,6 +39,9 @@ class RunManifest:
     package_version: str = ""
     python_version: str = ""
     platform: str = ""
+    #: CPUs of the machine that ran the command (``None`` in manifests
+    #: written before it was recorded)
+    cpu_count: int | None = None
     argv: tuple = ()
     pid: int = 0
     started_epoch: float = 0.0
@@ -63,6 +66,7 @@ class RunManifest:
             package_version=__version__,
             python_version=platform.python_version(),
             platform=platform.platform(),
+            cpu_count=os.cpu_count(),
             argv=tuple(sys.argv),
             pid=os.getpid(),
             started_epoch=time.time(),

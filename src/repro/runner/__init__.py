@@ -5,13 +5,14 @@ Turns the one-SOC, one-width experiment drivers into a grid engine:
 * :mod:`repro.runner.jobs` — :class:`SweepJob` grid points and
   :func:`expand_grid`;
 * :mod:`repro.runner.cache` — content-hash keyed on-disk cache for
-  wrapper Pareto staircases and whole job results;
+  whole job results;
 * :mod:`repro.runner.engine` — :func:`run_sweep` multiprocessing
   fan-out with JSON-lines streaming and summary tables;
 * :mod:`repro.runner.pool` — ``WorkerPool``, the runner's name for
   :class:`repro.supervise.SupervisedPool`, the one worker pool; pass a
   persistent one to :func:`run_sweep` so repeated sweeps keep their
-  workers' SOC, staircase and cache-entry memos warm.
+  workers' SOC, staircase and cache-entry memos warm (staircases are
+  computed in closed form and memoized per process, never on disk).
 
 The grid has a strategy axis: jobs with a ``strategy`` name run a
 budgeted anytime search (:mod:`repro.search`) instead of the paper

@@ -1,11 +1,11 @@
 """Content-hash keyed on-disk cache for expensive intermediates.
 
-The sweep engine re-derives the same artifacts over and over: a digital
-core's wrapper Pareto staircase is identical for every sharing
-combination, every weight setting, and every sweep that includes its
-SOC; a whole job result is identical whenever the (SOC, TAM width,
-optimizer configuration) triple repeats.  :class:`DiskCache` memoizes
-both levels in a directory of small JSON files.
+The sweep engine re-derives the same artifacts over and over: a whole
+job result is identical whenever the (SOC, TAM width, optimizer
+configuration) triple repeats.  :class:`DiskCache` memoizes job results
+in a directory of small JSON files.  (Digital Pareto staircases are
+cheaper to recompute in closed form than to read back, so they are
+memoized in process only, by :mod:`repro.wrapper.pareto`.)
 
 Keys are SHA-256 digests of a canonical-JSON *payload* describing the
 computation's inputs by **content** (e.g. the ``.soc`` serialization of
@@ -23,9 +23,8 @@ file the next :meth:`DiskCache.put` ignores.
 
 :class:`MemoCache` stacks an in-process read-through memo on top:
 persistent pool workers (:mod:`repro.runner.pool`) serve repeated
-lookups — the same staircase across widths, the same job result
-across warm sweeps — from process memory without touching the
-filesystem again.
+lookups — the same job result across warm sweeps — from process
+memory without touching the filesystem again.
 """
 
 from __future__ import annotations
@@ -194,8 +193,8 @@ class MemoCache:
     to disk (and memoizing what it finds); ``put`` writes through to
     disk and memoizes.  The memo store is *process-wide per cache
     root*, not per instance — the engine constructs one ``MemoCache``
-    per job, but a persistent pool worker still serves the thousandth
-    job's staircase lookup from memory.
+    per job, but a persistent pool worker still serves a warm sweep's
+    job-result lookups from memory.
 
     Cached values are shared objects: treat them as immutable, as the
     engine does.  The store is FIFO-bounded by :data:`MEMO_LIMIT`.

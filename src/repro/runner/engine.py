@@ -9,10 +9,9 @@ entries across the workers of one
 2. consults the on-disk :class:`~repro.runner.cache.DiskCache` for the
    whole job result, keyed on the *content* of the SOC plus the
    optimizer configuration — a warm sweep does no scheduling at all;
-3. on a miss, seeds its digital Pareto staircases from the cache
-   (computing and storing any absent ones), runs the paper's full
-   planning flow — or, for jobs with a ``strategy``, a budgeted
-   anytime search (:mod:`repro.search`) — and stores the result.
+3. on a miss, runs the paper's full planning flow — or, for jobs with
+   a ``strategy``, a budgeted anytime search (:mod:`repro.search`) —
+   and stores the result.
 
 Search jobs additionally carry their anytime trace: it is cached next
 to the result and, when the sweep sets a ``trace_dir``, written as one
@@ -21,7 +20,8 @@ four strategies over a workload grid leaves a complete
 best-cost-vs-evaluations record behind even on warm cache hits.
 :func:`search_job` runs a search job down the same job → SOC → model
 path but returns the whole search outcome and takes a checkpoint; it
-is what ``repro serve`` runs for ``optimize`` jobs.
+is what ``repro serve`` runs for ``optimize`` jobs, and it reads no
+cache.
 
 Results stream back to the parent as they complete and are appended to
 a JSON-lines file immediately, so long sweeps are inspectable in
@@ -29,10 +29,13 @@ flight and every line on disk is a complete record.  The aggregate
 :class:`SweepResult` renders a summary table via
 :mod:`repro.reporting`.
 
-Process warmth: SOC construction and disk-cache entries are memoized
-per process (:func:`_build_soc`, :class:`~repro.runner.cache.MemoCache`),
-so the hot state survives from job to job — and, with a persistent
-pool passed to :func:`run_sweep`, from sweep to sweep.  ``workers=1``
+Process warmth: SOC construction, digital Pareto staircases (computed
+in closed form, never cached on disk) and disk-cache entries are
+memoized per process (:func:`_build_soc`,
+:func:`~repro.wrapper.pareto.pareto_points`,
+:class:`~repro.runner.cache.MemoCache`), so the hot state survives
+from job to job — and, with a persistent pool passed to
+:func:`run_sweep`, from sweep to sweep.  ``workers=1``
 never builds a pool: the whole sweep runs in-process, which is both
 the debuggable path and the fast one for smoke-sized grids.
 """
@@ -62,8 +65,7 @@ from ..reporting import append_jsonl, render_table, write_jsonl
 from ..search import SearchCheckpoint, SearchOutcome, optimize
 from ..tam.packing import PackStats
 from ..soc import itc02
-from ..soc.model import DigitalCore, Soc
-from ..wrapper.pareto import ParetoCache, ParetoPoint, pareto_points
+from ..soc.model import Soc
 from .cache import DiskCache, MemoCache, content_key
 from .jobs import JobResult, SweepJob
 
@@ -143,48 +145,6 @@ def _job_key(job: SweepJob, soc_digest: str) -> str:
     })
 
 
-def _staircase_key(core: DigitalCore, limit: int) -> str:
-    return content_key({
-        "kind": "staircase",
-        "v": CACHE_VERSION,
-        "limit": limit,
-        "inputs": core.inputs,
-        "outputs": core.outputs,
-        "bidirs": core.bidirs,
-        "chains": list(core.scan_chains),
-        "patterns": core.patterns,
-    })
-
-
-def _primed_pareto(
-    soc: Soc, width: int, cache: MemoCache | None
-) -> tuple[ParetoCache, int, int]:
-    """A staircase cache covering every digital core, seeded from disk.
-
-    Returns ``(pareto, hits, misses)`` where the counters cover only
-    the staircase entries (job-level caching is accounted separately).
-    """
-    pareto = ParetoCache(width)
-    hits = misses = 0
-    for core in soc.digital_cores:
-        limit = min(width, core.max_useful_width)
-        key = _staircase_key(core, limit) if cache is not None else None
-        stored = cache.get(key) if cache is not None else None
-        if stored is not None:
-            pareto.prime(
-                core,
-                tuple(ParetoPoint(width=w, time=t) for w, t in stored),
-            )
-            hits += 1
-            continue
-        points = pareto_points(core, width)
-        pareto.prime(core, points)
-        if cache is not None:
-            cache.put(key, [[p.width, p.time] for p in points])
-        misses += 1
-    return pareto, hits, misses
-
-
 def trace_path(trace_dir: str, job: SweepJob) -> str:
     """The anytime-trace JSONL path for one search job."""
     seed = job.seed if job.seed is not None else "def"
@@ -202,20 +162,13 @@ def _write_trace(trace_dir: str, job: SweepJob,
     write_jsonl(records, trace_path(trace_dir, job))
 
 
-def _job_model(
-    job: SweepJob, soc: Soc, cache: MemoCache | None
-) -> tuple[CostModel, int, int]:
-    """The job's cost model over staircases seeded from *cache*;
-    returns ``(model, staircase hits, staircase misses)``."""
-    pareto, hits, misses = _primed_pareto(soc, job.width, cache)
-    evaluator = ScheduleEvaluator(
-        soc, job.width, pareto=pareto, **job.pack_kwargs
-    )
-    model = CostModel(
+def _job_model(job: SweepJob, soc: Soc) -> CostModel:
+    """The job's cost model."""
+    evaluator = ScheduleEvaluator(soc, job.width, **job.pack_kwargs)
+    return CostModel(
         soc, job.width, CostWeights(time=job.wt, area=1.0 - job.wt),
         AreaModel(soc.analog_cores), evaluator=evaluator,
     )
-    return model, hits, misses
 
 
 def _search(
@@ -237,7 +190,6 @@ def _search(
 
 def search_job(
     job: SweepJob,
-    cache_dir: str | None = None,
     trace_dir: str | None = None,
     checkpoint: SearchCheckpoint | None = None,
 ) -> SearchOutcome:
@@ -247,17 +199,15 @@ def search_job(
     it returns the whole :class:`~repro.search.SearchOutcome` (gated
     count, stall flag, trace) and resumes from — and keeps
     snapshotting to — *checkpoint*.  It never answers from the job
-    result cache, but staircases still come from (and fill) the cache
-    under *cache_dir*; with *trace_dir* the anytime trace is written to
-    ``trace_path(trace_dir, job)``.
+    result cache, so it takes no cache directory; with *trace_dir* the
+    anytime trace is written to ``trace_path(trace_dir, job)``.
     """
-    cache = MemoCache(DiskCache(cache_dir)) if cache_dir else None
     soc = _build_soc(job.workload, job.seed, job.scenario, job.power_budget)
-    model, _, _ = _job_model(job, soc, cache)
+    model = _job_model(job, soc)
     outcome, trace = _search(job, soc, model, checkpoint)
     if trace_dir is not None:
         _write_trace(trace_dir, job, trace)
-    _publish_job_obs(cache, evaluator=model.evaluator, job=job)
+    _publish_job_obs(None, evaluator=model.evaluator, job=job)
     return outcome
 
 
@@ -278,8 +228,8 @@ def evaluate_job(
     sweep still leaves the full trace set on disk.
 
     Caching is read-through-memoized per process: repeated lookups of
-    the same staircase or job entry (across jobs, and across sweeps on
-    a persistent pool) skip the filesystem entirely.
+    the same job entry (across sweeps on a persistent pool) skip the
+    filesystem entirely.
     """
     started = time.perf_counter()
     cache = MemoCache(DiskCache(cache_dir)) if cache_dir else None
@@ -297,8 +247,6 @@ def evaluate_job(
                 JobResult.from_dict(stored["result"]),
                 job=job,
                 cache_hit=True,
-                staircase_hits=0,
-                staircase_misses=0,
                 elapsed_s=time.perf_counter() - started,
                 # counters describe *this run's* work: a hit packed
                 # nothing (the stored record keeps the original's)
@@ -306,7 +254,7 @@ def evaluate_job(
                 cache_stats=cache.stats(),
             )
 
-    model, stair_hits, stair_misses = _job_model(job, soc, cache)
+    model = _job_model(job, soc)
     evaluator = model.evaluator
     trace: list[dict] = []
     if job.strategy:
@@ -347,8 +295,6 @@ def evaluate_job(
         n_total=outcome.n_total,
         elapsed_s=time.perf_counter() - started,
         cache_hit=False,
-        staircase_hits=stair_hits,
-        staircase_misses=stair_misses,
         pack_stats=(
             evaluator.pack_stats.to_dict()
             if evaluator.pack_stats is not None else {}
@@ -487,8 +433,6 @@ class SweepResult:
                 "hit" if r.cache_hit else "miss",
                 round(r.elapsed_s, 2),
             ))
-        stair_hits = sum(r.staircase_hits for r in self.results)
-        stair_misses = sum(r.staircase_misses for r in self.results)
         lines = [
             render_table(headers, rows, title="Sweep results"),
             "",
@@ -501,8 +445,7 @@ class SweepResult:
         lines.append(
             f"{len(self.results)} jobs ({len(self.errors)} failed) in "
             f"{self.elapsed_s:.2f}s wall; job cache hits: "
-            f"{self.cache_hits}/{len(self.results)}; staircase cache: "
-            f"{stair_hits} hits / {stair_misses} misses"
+            f"{self.cache_hits}/{len(self.results)}"
         )
         total_retries = sum(r.retries for r in self.results)
         if total_retries:

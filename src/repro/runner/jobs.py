@@ -172,8 +172,6 @@ class JobResult:
     n_total: int = 0
     elapsed_s: float = 0.0
     cache_hit: bool = False
-    staircase_hits: int = 0
-    staircase_misses: int = 0
     error: str = ""
     #: supervised-pool retries this job consumed before completing (or
     #: being quarantined) — crashes, hangs, and transient dispatch
@@ -196,6 +194,10 @@ class JobResult:
     def from_dict(cls, record: dict) -> "JobResult":
         """Inverse of :meth:`to_dict`."""
         fields = dict(record)
+        # retired with the staircase disk cache; older cached entries
+        # and --resume streams still carry them
+        fields.pop("staircase_hits", None)
+        fields.pop("staircase_misses", None)
         fields["job"] = SweepJob(**fields["job"])
         return cls(**fields)
 

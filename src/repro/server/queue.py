@@ -392,8 +392,7 @@ class JobQueue:
                     "server-optimize": spec.params, "v": CACHE_VERSION,
                 }),
             )
-            task = (search_job,
-                    (job, self.cache_dir, str(job_dir), checkpoint))
+            task = (search_job, (job, str(job_dir), checkpoint))
         value = None
         retries = 0
 

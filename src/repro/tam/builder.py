@@ -4,7 +4,8 @@ This is the glue between the SOC data model, the digital wrapper design,
 and the scheduler:
 
 * each digital core becomes one flexible task whose operating points are
-  its Pareto staircase (``Design_wrapper`` at every useful width);
+  its Pareto staircase (``Design_wrapper``'s test time at every useful
+  width, in closed form);
 * each analog *test* becomes one rigid task (fixed TAM width and length,
   Table 2), labelled with its wrapper's serialization group.
 

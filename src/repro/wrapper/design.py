@@ -24,7 +24,17 @@ This module implements:
   wrapper chains (minimizing the longest chain);
 * :func:`design_wrapper` — full wrapper design for a given TAM width,
   returning a :class:`WrapperDesign` with per-chain composition;
-* :func:`test_time` — the test time for a core at a given width.
+* :func:`scan_lengths` and :func:`test_time` — ``(s_i, s_o)`` and the
+  test time for a core at a given width, in closed form.
+
+The closed form reads ``s_i`` and ``s_o`` off the BFD peak without
+building a design.  Level-filling ``c`` cells onto chain loads ``L``
+over ``w`` chains leaves the longest chain at
+``max(max L, ceil((sum L + c) / w))``: either the water never reaches
+the peak, or every chain ends within one cell of the mean.  LPT's
+multiset of loads does not depend on how ties break, so the peak needs
+no bin indices either.  :func:`design_wrapper` is the reference the
+tests hold the closed form to.
 """
 
 from __future__ import annotations
@@ -191,12 +201,43 @@ def design_wrapper(core: DigitalCore, width: int) -> WrapperDesign:
     return WrapperDesign(core=core, width=effective, chains=chains)
 
 
+def _scan_lengths(
+    core: DigitalCore, chains: list[int], width: int
+) -> tuple[int, int]:
+    """``(s_i, s_o)`` of ``design_wrapper(core, width)`` in closed form.
+
+    :param chains: ``core.scan_chains`` sorted in decreasing order.
+    """
+    if width < 1:
+        raise ValueError(f"TAM width must be >= 1, got {width}")
+    bins = min(width, core.max_useful_width)
+    if bins >= len(chains):
+        peak = chains[0] if chains else 0
+    else:
+        # the first `bins` chains open one wrapper chain each; an
+        # ascending list is already a min-heap
+        loads = chains[bins - 1::-1]
+        for length in chains[bins:]:
+            heapq.heapreplace(loads, loads[0] + length)
+        peak = max(loads)
+    scan = core.scan_flops
+    s_i = max(peak, -(-(scan + core.inputs + core.bidirs) // bins))
+    s_o = max(peak, -(-(scan + core.outputs + core.bidirs) // bins))
+    return s_i, s_o
+
+
+def _test_time(core: DigitalCore, chains: list[int], width: int) -> int:
+    """:func:`test_time` over chains already sorted in decreasing
+    order, so a staircase sorts them once."""
+    s_i, s_o = _scan_lengths(core, chains, width)
+    return (1 + max(s_i, s_o)) * core.patterns + min(s_i, s_o)
+
+
 def scan_lengths(core: DigitalCore, width: int) -> tuple[int, int]:
     """Return ``(s_i, s_o)`` for *core* wrapped at *width* wires."""
-    design = design_wrapper(core, width)
-    return design.scan_in_length, design.scan_out_length
+    return _scan_lengths(core, sorted(core.scan_chains, reverse=True), width)
 
 
 def test_time(core: DigitalCore, width: int) -> int:
     """Test application time of *core* at TAM width *width*, in cycles."""
-    return design_wrapper(core, width).test_time
+    return _test_time(core, sorted(core.scan_chains, reverse=True), width)

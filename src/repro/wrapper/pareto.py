@@ -6,8 +6,10 @@ when it lets ``Design_wrapper`` shorten the longest wrapper chain.  The
 rectangle-packing TAM optimizer therefore only ever needs the Pareto
 staircase — the widths at which test time strictly decreases.
 
-:func:`pareto_points` computes the staircase once per core; repeated
-scheduling runs share it through :class:`ParetoCache`.
+:func:`pareto_points` computes the staircase once per core from the
+closed-form test time of :mod:`repro.wrapper.design` (no wrapper is
+designed); repeated scheduling runs share it through
+:class:`ParetoCache`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ..soc.model import DigitalCore
-from .design import test_time
+from .design import _test_time
 
 __all__ = ["ParetoPoint", "pareto_points", "ParetoCache"]
 
@@ -56,10 +58,11 @@ def _pareto_points(core: DigitalCore, limit: int) -> tuple[ParetoPoint, ...]:
     two experiment drivers rebuilding the same SOC in one process hit
     the same entry even though the core objects differ by identity.
     """
+    chains = sorted(core.scan_chains, reverse=True)
     points: list[ParetoPoint] = []
     best = None
     for width in range(1, limit + 1):
-        t = test_time(core, width)
+        t = _test_time(core, chains, width)
         if best is None or t < best:
             points.append(ParetoPoint(width=width, time=t))
             best = t
@@ -74,10 +77,9 @@ class ParetoCache:
     change between runs, so they are computed once here.
 
     Entries are keyed by the *core value* (a frozen dataclass, hence
-    hashable by content), never by name: a cache shared across SOCs —
-    or primed for one instantiation of a workload and queried with
-    another — can therefore never serve a stale staircase for a
-    same-named core with different geometry.
+    hashable by content), never by name: a cache shared across SOCs
+    can therefore never serve a stale staircase for a same-named core
+    with different geometry.
     """
 
     def __init__(self, max_width: int):
@@ -93,15 +95,6 @@ class ParetoCache:
             cached = pareto_points(core, self.max_width)
             self._cache[core] = cached
         return cached
-
-    def prime(self, core: DigitalCore,
-              points: tuple[ParetoPoint, ...]) -> None:
-        """Preload the staircase for *core*.
-
-        Used by :mod:`repro.runner` to seed a fresh evaluator from the
-        on-disk cache instead of recomputing wrapper designs.
-        """
-        self._cache[core] = tuple(points)
 
     def best_time(self, core: DigitalCore, width: int) -> int:
         """Shortest test time of *core* using at most *width* wires."""

@@ -188,7 +188,8 @@ class TestGateReadsBaselineFirst:
         worse["throughput"]["speedup"] *= 0.5
         _stub_studies(monkeypatch, module, {
             f"{name}_study": worse[name]
-            for name in ("parity", "throughput", "search", "power")
+            for name in ("parity", "throughput", "search", "power",
+                         "staircase")
         })
         argv = ["--gate", "--out", str(path), "--baseline", str(path)]
         assert module.main(argv) == 1
@@ -240,7 +241,8 @@ class TestBenchSummary:
         base = committed("eval")
         _stub_studies(monkeypatch, module, {
             f"{name}_study": base[name]
-            for name in ("parity", "throughput", "search", "power")
+            for name in ("parity", "throughput", "search", "power",
+                         "staircase")
         })
         summary = module.run_bench()["summary"]
         assert summary["platform"] == platform.platform()
@@ -251,7 +253,7 @@ class TestBenchSummary:
 
     @pytest.mark.parametrize("name, expected", [
         ("eval", {"workload": "big12m", "width": 32, "budget": 2000,
-                  "evals_per_s": 1339.57}),
+                  "evals_per_s": 918.96}),
         ("search", {"workload": "big12m", "width": 32, "budget": 200,
                     "best_cost": 38.8919}),
         ("parallel", {"workload": "big12m", "width": 32, "workers": 4}),

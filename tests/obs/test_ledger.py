@@ -1,6 +1,7 @@
 """Tests for the persistent run ledger (fold, query, gc, compare)."""
 
 import json
+import os
 
 import pytest
 
@@ -162,6 +163,24 @@ class TestFoldRun:
         (run_dir / "status.json").write_text('{"stat')
         record = RunLedger(tmp_path / "ledger").fold_run(run_dir)
         assert record["summary"]["status"] == "completed"
+
+    def test_fold_records_the_runs_cpu_count(self, tmp_path,
+                                             monkeypatch):
+        """Hardware comes from the run's manifest, never from the
+        process that folds it."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        run_dir = make_run_dir(tmp_path)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        record = RunLedger(tmp_path / "ledger").fold_run(run_dir)
+        assert record["summary"]["cpu_count"] == 3
+
+    def test_old_manifest_records_no_cpu_count(self, tmp_path):
+        run_dir = make_run_dir(tmp_path)
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        del manifest["cpu_count"]
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        record = RunLedger(tmp_path / "ledger").fold_run(run_dir)
+        assert record["summary"]["cpu_count"] is None
 
     def test_fold_reaggregates_when_final_metrics_missing(
             self, tmp_path):

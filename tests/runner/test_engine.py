@@ -1,5 +1,7 @@
 """Tests for the batch sweep engine (jobs, grid, parallel execution)."""
 
+import json
+
 import pytest
 
 from repro.reporting import read_jsonl
@@ -10,6 +12,7 @@ from repro.runner import (
     expand_grid,
     run_sweep,
 )
+from repro.runner.cache import clear_memo
 
 
 class TestSweepJob:
@@ -25,6 +28,14 @@ class TestSweepJob:
         job = SweepJob("mini", width=8, effort="quick")
         result = JobResult(job=job, soc_name="mini", makespan=5)
         assert JobResult.from_dict(result.to_dict()) == result
+
+    def test_from_dict_drops_retired_staircase_counters(self):
+        job = SweepJob("mini", width=8, effort="quick")
+        result = JobResult(job=job, soc_name="mini", makespan=5)
+        record = result.to_dict() | {
+            "staircase_hits": 3, "staircase_misses": 1,
+        }
+        assert JobResult.from_dict(record) == result
 
     def test_power_budget_validation(self):
         with pytest.raises(ValueError, match="power_budget"):
@@ -68,7 +79,6 @@ class TestEvaluateJob:
         assert result.makespan > 0
         assert result.n_analog == 2
         assert not result.cache_hit
-        assert result.staircase_misses == 4  # one per digital core
 
     def test_cold_then_warm_cache(self, tmp_path):
         job = SweepJob("mini", width=8, effort="quick")
@@ -80,16 +90,20 @@ class TestEvaluateJob:
         assert warm.makespan == cold.makespan
         assert warm.total_cost == cold.total_cost
 
-    def test_staircases_shared_across_widths(self, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        # width 24 saturates every mini core's useful width, so the
-        # width-32 job reuses all four staircase entries
-        evaluate_job(SweepJob("mini", width=24, effort="quick"), cache_dir)
-        wider = evaluate_job(
-            SweepJob("mini", width=32, effort="quick"), cache_dir
-        )
-        assert wider.staircase_hits == 4
-        assert wider.staircase_misses == 0
+    def test_entry_with_retired_counters_still_hits(self, tmp_path):
+        # job entries cached before the staircase counters were
+        # retired carry them; they must still answer a warm job
+        job = SweepJob("mini", width=8, effort="quick")
+        cache_dir = tmp_path / "cache"
+        cold = evaluate_job(job, str(cache_dir))
+        for path in cache_dir.glob("*/*.json"):
+            entry = json.loads(path.read_text())
+            entry["result"] |= {"staircase_hits": 0, "staircase_misses": 4}
+            path.write_text(json.dumps(entry))
+        clear_memo()
+        warm = evaluate_job(job, str(cache_dir))
+        assert warm.cache_hit
+        assert warm.total_cost == cold.total_cost
 
 
 class TestPowerJobs:
@@ -187,4 +201,4 @@ class TestRunSweep:
         rendered = sweep.render()
         assert "Sweep results" in rendered
         assert "mini" in rendered
-        assert "staircase cache" in rendered
+        assert "job cache hits: 0/1" in rendered

@@ -144,12 +144,12 @@ class TestStableResults:
         result = JobResult(
             job=SweepJob(workload="mini", width=8),
             total_cost=42.0, elapsed_s=1.23, cache_hit=True,
-            staircase_hits=9, retries=3,
+            retries=3,
         )
         stable = stable_sweep_result(spec, result)
         assert stable["total_cost"] == 42.0
-        for volatile in ("elapsed_s", "cache_hit", "staircase_hits",
-                         "retries", "pack_stats", "cache_stats"):
+        for volatile in ("elapsed_s", "cache_hit", "retries",
+                         "pack_stats", "cache_stats"):
             assert volatile not in stable
 
     def test_stable_record_is_run_independent(self):

@@ -100,13 +100,3 @@ class TestParetoCache:
         big_points = cache.points(big)
         assert small_points != big_points
         assert big_points == pareto_points(big, 16)
-
-    def test_prime_keyed_by_core_value(self):
-        cache = ParetoCache(16)
-        primed = core(chains=(20, 10), patterns=5)
-        other = core(chains=(400, 300), patterns=100)
-        sentinel = pareto_points(primed, 16)
-        cache.prime(primed, sentinel)
-        assert cache.points(primed) == sentinel
-        # the same-named other core computes its own staircase
-        assert cache.points(other) == pareto_points(other, 16)

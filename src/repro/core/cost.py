@@ -91,10 +91,6 @@ class ScheduleEvaluator:
     :param include_self_test: schedule converter-BIST tasks per wrapper
         (the paper's future-work extension; off by default, matching
         the paper's "self-test mode test time has not been considered").
-    :param pareto: an optional pre-built digital Pareto staircase
-        cache, e.g. one shared with another evaluator of the same SOC
-        (one is built when omitted; staircases are also memoized per
-        process).  Must have ``max_width >= width``.
     :param engine: ``"fast"`` (the :class:`~repro.tam.packing.PackContext`
         hot path) or ``"reference"`` (the retained seed packer of
         :mod:`repro.tam.reference` — benchmarks and parity tests only).
@@ -107,17 +103,11 @@ class ScheduleEvaluator:
         soc: Soc,
         width: int,
         include_self_test: bool = False,
-        pareto: ParetoCache | None = None,
         engine: str = "fast",
         **pack_kwargs,
     ):
         if width < 1:
             raise ValueError(f"width must be >= 1, got {width}")
-        if pareto is not None and pareto.max_width < width:
-            raise ValueError(
-                f"pareto cache max_width {pareto.max_width} < TAM width "
-                f"{width}"
-            )
         if engine not in ("fast", "reference"):
             raise ValueError(
                 f"engine must be 'fast' or 'reference', got {engine!r}"
@@ -130,8 +120,7 @@ class ScheduleEvaluator:
         #: unconstrained).  Threaded into every pack and every bound.
         self.power_budget = soc.power_budget
         self._pack_kwargs = pack_kwargs
-        self._pareto = pareto or ParetoCache(width)
-        self._digital = digital_tasks(soc, self._pareto)
+        self._digital = digital_tasks(soc, ParetoCache(width))
         self._schedules: dict[Partition, Schedule] = {}
         # refinement-propagation index: signature (sorted group sizes;
         # the group count is its length) -> cached partitions covering

@@ -305,6 +305,9 @@ def evaluate_job(
         _write_trace(trace_dir, job, trace)
     if cache is not None:
         cache.put(job_key, {"result": result.to_dict(), "trace": trace})
+        # count the put just made: the returned record describes all
+        # of this run's cache work
+        result = replace(result, cache_stats=cache.stats())
     _publish_job_obs(cache, evaluator=evaluator, job=job)
     return result
 

@@ -86,7 +86,9 @@ class TestEvaluateJob:
         cold = evaluate_job(job, cache_dir)
         warm = evaluate_job(job, cache_dir)
         assert not cold.cache_hit
+        assert cold.cache_stats["puts"] == 1
         assert warm.cache_hit
+        assert warm.cache_stats["puts"] == 0
         assert warm.makespan == cold.makespan
         assert warm.total_cost == cold.total_cost
 

@@ -1,6 +1,6 @@
 """Evaluation-engine benchmark: throughput, parity, and gate skip rates.
 
-Five studies, recorded into ``BENCH_eval.json`` (the repo's perf
+Six studies, recorded into ``BENCH_eval.json`` (the repo's perf
 trajectory for the schedule-evaluation hot path):
 
 * **parity** — the fast engine (:class:`repro.tam.packing.PackContext`
@@ -35,6 +35,12 @@ trajectory for the schedule-evaluation hot path):
   and from a loop of full :func:`repro.wrapper.design.design_wrapper`
   designs.  Staircases/sec of both land in the record.  Gate: zero
   mismatches.
+* **scenario_read** — every shipped JSON preset plus random
+  ``random_scenario(n_cores=8)`` documents, read by
+  :func:`repro.schema.parse` (``json.loads``, anchored only on a
+  failure) and by the anchored path (the position-tracking reader and
+  the shape checker with positions).  Milliseconds per document of
+  both land in the record.  Gate: zero documents where they differ.
 
 With ``--gate``, the record is additionally compared against the
 committed ``BENCH_eval.json``: a >10% drop in big12m evaluations/sec
@@ -58,15 +64,18 @@ import argparse
 import json
 import sys
 import time
+from importlib.resources import files
 from pathlib import Path
 
+from repro import schema
 from repro.core.area import AreaModel
 from repro.core.cost import CostModel, CostWeights, ScheduleEvaluator
 from repro.core.sharing import representative_partitions
 from repro.experiments.common import PACK_EFFORT
 from repro.obs import RegressionReport, hardware
+from repro.schema.parse import _build_doc, _JsonReader
 from repro.search import Budget, SearchProblem, registry, run_strategy
-from repro.workloads import build, names
+from repro.workloads import build, names, random_scenario
 from repro.wrapper.design import design_wrapper
 from repro.wrapper.pareto import ParetoPoint, _pareto_points, pareto_points
 
@@ -97,6 +106,14 @@ STAIRCASE_WIDTHS = (32, 64)
 #: kernel passes per width (the best is kept; one pass takes tens of
 #: milliseconds, the reference loop's single pass one to three seconds)
 STAIRCASE_ROUNDS = 5
+
+#: random documents the scenario-read study adds to the shipped
+#: presets, and their core count (the size perfbench serve submits)
+SCENARIO_RANDOM = 40
+SCENARIO_CORES = 8
+
+#: passes over the documents per reader (the best is kept)
+SCENARIO_ROUNDS = 3
 
 
 def _sample(soc, limit, seed=0):
@@ -347,9 +364,53 @@ def staircase_study() -> dict:
     }
 
 
+def _anchored_read(text: str, source: str):
+    """The anchored path: positions for every key, then the shape
+    checker (what ``parse`` runs only on a failure)."""
+    tree, pos = _JsonReader(text, source).read_document()
+    return _build_doc(tree, pos, source)
+
+
+def scenario_read_study() -> dict:
+    """``schema.parse`` against the anchored path, per document."""
+    shipped = sorted(files("repro.workloads").joinpath("scenarios")
+                     .iterdir(), key=lambda path: path.name)
+    texts = [path.read_text(encoding="utf-8") for path in shipped
+             if path.name.endswith(".json")]
+    n_shipped = len(texts)
+    texts += [
+        schema.generate(random_scenario(
+            n_cores=SCENARIO_CORES, seed=seed, name=f"rnd{seed}"
+        ))
+        for seed in range(SCENARIO_RANDOM)
+    ]
+
+    def best_ms(read) -> tuple[float, list]:
+        best = float("inf")
+        for _ in range(SCENARIO_ROUNDS):
+            started = time.perf_counter()
+            docs = [read(text, "doc.json") for text in texts]
+            best = min(best, time.perf_counter() - started)
+        return 1000.0 * best / len(texts), docs
+
+    parse_ms, parsed = best_ms(schema.parse)
+    anchored_ms, anchored = best_ms(_anchored_read)
+    mismatches = sum(a != b for a, b in zip(parsed, anchored))
+    return {
+        "n_shipped": n_shipped,
+        "n_random": SCENARIO_RANDOM,
+        "mean_bytes": round(sum(map(len, texts)) / len(texts)),
+        "parse_ms": round(parse_ms, 3),
+        "anchored_ms": round(anchored_ms, 3),
+        "speedup": round(anchored_ms / parse_ms, 1),
+        "mismatches": mismatches,
+        "parity": mismatches == 0,
+    }
+
+
 def run_bench(effort: str = "medium", per_preset: int = 8,
               n_partitions: int = 40, budget: int = 2000) -> dict:
-    """The full benchmark record (all five studies)."""
+    """The full benchmark record (all six studies)."""
     record = {
         "benchmark": "eval",
         "config": {
@@ -365,6 +426,7 @@ def run_bench(effort: str = "medium", per_preset: int = 8,
         "power": power_study(effort, min(n_partitions, 25),
                              min(budget, 500)),
         "staircase": staircase_study(),
+        "scenario_read": scenario_read_study(),
     }
     record["gates"] = {
         "parity": record["parity"]["parity"]
@@ -377,6 +439,7 @@ def run_bench(effort: str = "medium", per_preset: int = 8,
         "power_parity": record["power"]["parity"],
         "power_compliance": record["power"]["budget_overruns"] == 0,
         "staircase_parity": record["staircase"]["parity"],
+        "scenario_parity": record["scenario_read"]["parity"],
     }
     record["summary"] = {**summarize(record), **hardware()}
     return record
@@ -477,6 +540,12 @@ def main(argv: list[str] | None = None) -> int:
               f"kernel {study['kernel_staircases_per_s']}/s vs "
               f"design_wrapper {study['reference_staircases_per_s']}/s "
               f"= {study['speedup']}x, {study['mismatches']} mismatches")
+    read = record["scenario_read"]
+    print(f"scenario read ({read['n_shipped']} presets + "
+          f"{read['n_random']} random, {read['mean_bytes']} B mean): "
+          f"parse {read['parse_ms']} ms vs anchored "
+          f"{read['anchored_ms']} ms = {read['speedup']}x, "
+          f"{read['mismatches']} mismatches")
     return conclude(record, args, report)
 
 

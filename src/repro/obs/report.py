@@ -7,8 +7,9 @@ aggregated on the fly), ``lanes.json``, ``trace.jsonl`` — it renders:
 * the manifest header (what ran, where, with which seeds/budget);
 * a metrics summary table (counters, then span timings);
 * the per-lane table: evaluations, packs, gated count, **gate-skip
-  rate**, best cost — the view that makes a lane burning its whole
-  budget at 100% gate-skip with no best visible at a glance;
+  rate**, steps, free revisits, best cost — the view that makes a lane
+  burning its whole budget at 100% gate-skip with no best, or
+  stepping far more often than it pays, visible at a glance;
 * a best-cost-vs-time ASCII plot across all lanes, aligned on the
   epoch timestamps the traces carry.
 
@@ -134,6 +135,8 @@ def _lane_table(run_dir: Path, problems: list[str]) -> str | None:
             lane.get("n_packs", 0),
             n_gated,
             f"{skip:.1f}%",
+            lane.get("n_steps", "-"),
+            lane.get("n_revisits", "-"),
             "-" if best is None else f"{best:.2f}",
             lane.get("improvements", len(lane.get("trace", ()) or ())),
         ])
@@ -142,7 +145,7 @@ def _lane_table(run_dir: Path, problems: list[str]) -> str | None:
         return None
     return render_table(
         ("lane", "label", "evals", "packs", "gated", "gate-skip",
-         "best cost", "improv"),
+         "steps", "revisits", "best cost", "improv"),
         rows,
         title="lanes",
     )

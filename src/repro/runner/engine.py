@@ -74,13 +74,13 @@ __all__ = [
 ]
 
 #: Bump to invalidate every cached entry after a semantic change to the
-#: evaluation flow or the record layout.  v5: the cache key grows a
-#: power axis (``SweepJob.power_budget`` + power-annotated SOC
-#: digests), results record ``peak_power``, and the batch-first
-#: simulated annealing draws its acceptance uniforms unconditionally —
-#: changing anneal search trajectories.  (v4: the shared-incumbent
+#: evaluation flow or the record layout.  v6: a search stops once it
+#: has evaluated its whole sharing space, and served optimize records
+#: gain ``space_exhausted`` (such runs no longer end ``stalled``);
+#: trajectories, best costs and evaluation counts are unchanged.  (v5:
+#: the power axis and batch-first annealing; v4: the shared-incumbent
 #: gate; v3: the gate itself.)
-CACHE_VERSION = 5
+CACHE_VERSION = 6
 
 #: Paper-flow jobs enumerate the Table 1 sharing family, which passes
 #: through the Bell-number space of all partitions; past this many
@@ -197,7 +197,7 @@ def search_job(
 
     The served ``optimize`` unit of work: unlike :func:`evaluate_job`
     it returns the whole :class:`~repro.search.SearchOutcome` (gated
-    count, stall flag, trace) and resumes from — and keeps
+    count, how the search ended, trace) and resumes from — and keeps
     snapshotting to — *checkpoint*.  It never answers from the job
     result cache, so it takes no cache directory; with *trace_dir* the
     anytime trace is written to ``trace_path(trace_dir, job)``.

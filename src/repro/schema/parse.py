@@ -1,11 +1,16 @@
-"""Position-aware readers and the strict/lenient shape checker.
+"""Scenario readers and the strict/lenient shape checker.
 
-The stdlib ``json`` module throws away positions the moment it builds
-the tree, so this module carries its own small recursive-descent JSON
-reader that records the line/column of every mapping key and sequence
-element it visits.  YAML input reuses PyYAML's composer (node marks are
-free) when the optional dependency is importable; the core path stays
-stdlib-only.
+JSON is read in two stages.  :func:`parse` first builds the tree with
+the stdlib ``json.loads`` (hooked to refuse the two inputs it would
+otherwise accept: duplicate keys and ``NaN``/``Infinity``) and shapes
+it with no source positions — the common, valid case, at C speed.
+Positions matter only to a diagnostic, so on *any* failure the text is
+re-read by this module's small recursive-descent reader, which records
+the line/column of every mapping key and sequence element it visits,
+and the document is shaped again from that anchored tree: every error
+and diagnostic is exactly the anchored reader's.  YAML input reuses
+PyYAML's composer (node marks are free) when the optional dependency
+is importable; the core path stays stdlib-only.
 
 Errors never stop at the first problem: the shape checker collects
 :class:`Diagnostic` records — each anchored to a source line/column and
@@ -96,8 +101,9 @@ class _JsonReader:
     tuples of mapping keys and sequence indices — to 1-based
     ``(line, column)`` pairs.  Object paths anchor at the opening
     brace/bracket, field paths at their key.  Grammar and number/string
-    semantics match ``json.loads`` (it is only used for values the
-    stdlib parser already accepted or would accept).
+    semantics match ``json.loads`` except that duplicate keys and
+    ``NaN``/``Infinity`` are refused.  :func:`parse` runs it only to
+    anchor a failure of the ``json.loads`` path.
     """
 
     def __init__(self, text: str, source: str):
@@ -250,6 +256,36 @@ class _JsonReader:
             return json.loads(raw)
         except json.JSONDecodeError as exc:
             raise self.fail(f"bad number literal {raw!r}") from exc
+
+
+def _unique_pairs(pairs: list) -> dict:
+    """``object_pairs_hook``: refuse duplicate keys, as the anchored
+    reader does (``json.loads`` would keep the last one)."""
+    record = dict(pairs)
+    if len(record) != len(pairs):
+        raise ValueError("duplicate key")
+    return record
+
+
+def _refuse_constant(name: str):
+    """``parse_constant``: refuse ``NaN``/``Infinity``, as the anchored
+    reader does."""
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def _parse_json(text: str, source: str) -> ScenarioDoc:
+    """Read and shape a JSON scenario; anchor only on a failure."""
+    try:
+        tree = json.loads(text, object_pairs_hook=_unique_pairs,
+                          parse_constant=_refuse_constant)
+        return _build_doc(tree, {}, source)
+    except Exception:
+        # any failure, a diagnostic included, is re-derived below: the
+        # anchored path raises what it raises for this text, with
+        # line/column positions
+        pass
+    tree, pos = _JsonReader(text, source).read_document()
+    return _build_doc(tree, pos, source)
 
 
 def _read_yaml(text: str, source: str):
@@ -643,10 +679,13 @@ def parse(text: str, source: str = "<scenario>",
 
     ``fmt`` is ``"json"``, ``"yaml"``, or ``None`` to sniff from the
     first non-blank character.  Raises :class:`ScenarioError` with the
-    full list of line-anchored diagnostics on any structural problem.
-    YAML input additionally needs the optional PyYAML dependency.
+    full list of line-anchored diagnostics on any structural problem
+    (JSON is anchored only then; see the module docstring).  YAML input
+    additionally needs the optional PyYAML dependency.
     """
     resolved = fmt or detect_format(text)
+    if resolved == "json":
+        return _parse_json(text, source)
     if resolved == "yaml":
         if not _model.yaml_available():
             raise ScenarioError([
@@ -659,8 +698,6 @@ def parse(text: str, source: str = "<scenario>",
                 )
             ])
         tree, pos = _read_yaml(text, source)
-    elif resolved == "json":
-        tree, pos = _JsonReader(text, source).read_document()
     else:
         raise ValueError(f"unknown scenario format {resolved!r}")
     return _build_doc(tree, pos, source)

@@ -170,8 +170,8 @@ def lane_slices(budget: int | None, n: int) -> tuple[int | None, ...]:
     Every lane gets ``budget // n`` (the first ``budget % n`` lanes one
     more).  The slices sum to *budget*, so capping each lane at its
     slice is the portfolio's global cap, and fairness means every lane
-    contributes however the lanes are scheduled.  A stalled lane's
-    unspent slice is simply left unspent.
+    contributes however the lanes are scheduled.  A lane that stalls
+    or evaluates its whole space leaves the rest of its slice unspent.
 
     ``None`` budget yields all-``None`` slices (wall-clock-only runs).
     """

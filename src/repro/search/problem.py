@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass
 
 from .. import faults, obs
 from ..core.cost import CostModel
-from ..core.sharing import Partition, format_partition
+from ..core.sharing import Partition, bell_number, format_partition
 from .budget import Budget
 
 __all__ = ["SearchProblem", "TracePoint"]
@@ -74,7 +74,8 @@ class SearchProblem:
     :param model: the cost model (carries the shared schedule
         evaluator whose cache makes repeated evaluations free).
     :param budget: the run's allowance; ``None`` means unlimited
-        (useful in tests — the run loop then stops on stall only).
+        (useful in tests — the run loop then stops on an evaluated
+        space or a stall only).
     :param gate: enable the lower-bound pruning gate (default on).
         Before packing a first-time candidate, the admissible
         :meth:`~repro.core.cost.CostModel.cost_lower_bound` is
@@ -108,8 +109,12 @@ class SearchProblem:
         )
         if not self.names:
             raise ValueError("search needs a mixed-signal SOC")
+        #: Bell(n): how many distinct partitions there are to evaluate
+        self.space_size = bell_number(len(self.names))
         self._costs: dict[Partition, float] = {}
         self._n_packs = 0
+        #: evaluations answered free from this problem's cost cache
+        self.n_revisits = 0
         #: telemetry label naming this problem's lane in emitted
         #: events (set by the portfolio drivers; plain attribute)
         self.obs_label: str | None = None
@@ -141,6 +146,11 @@ class SearchProblem:
         return len(self._costs)
 
     @property
+    def space_exhausted(self) -> bool:
+        """Whether every partition of the space has been evaluated."""
+        return len(self._costs) == self.space_size
+
+    @property
     def n_packs(self) -> int:
         """Actual TAM packing runs this search caused (the paper's
         ``n`` accounting; smaller than :attr:`n_evaluated` whenever the
@@ -156,7 +166,8 @@ class SearchProblem:
 
         Everything the search trajectory depends on: the cost cache
         (restored cached candidates stay free), the incumbent, the
-        anytime trace, the gate accounting, and the budget's spend.
+        anytime trace, the gate and revisit accounting, and the
+        budget's spend.
         ``n_packs`` is included but process-local by nature — a
         resumed process re-packs what the dead one's evaluator had
         cached — so determinism comparisons use the trace, never the
@@ -171,6 +182,7 @@ class SearchProblem:
             "n_gated": self.n_gated,
             "gated_partitions": list(self.gated_partitions),
             "budget_spent": self.budget.spent,
+            "n_revisits": self.n_revisits,
         }
 
     def state_restore(self, snapshot: dict) -> None:
@@ -183,6 +195,8 @@ class SearchProblem:
         self.n_gated = snapshot["n_gated"]
         self.gated_partitions = list(snapshot["gated_partitions"])
         self.budget.spent = snapshot["budget_spent"]
+        # snapshots written before revisits were counted lack the key
+        self.n_revisits = snapshot.get("n_revisits", 0)
         if self.incumbent is not None and self.best_partition is not None:
             self.incumbent.offer(self.best_cost)
 
@@ -200,13 +214,15 @@ class SearchProblem:
     def evaluate(self, partition: Partition) -> float:
         """The Eq. (2) total cost of *partition*.
 
-        Cached evaluations are free; a first-time evaluation charges
+        Cached evaluations are free (and counted in
+        :attr:`n_revisits`); a first-time evaluation charges
         the budget (which may raise
         :class:`~repro.search.budget.BudgetExhausted` — the run loop's
         cue to stop) and, on improvement, extends the anytime trace.
         """
         cached = self._costs.get(partition)
         if cached is not None:
+            self.n_revisits += 1
             return cached
         self.budget.charge()
         # fault-harness site: one hit per *paid* evaluation, so chaos

@@ -9,11 +9,12 @@ strategy :meth:`observe` the outcome — and strategies with batched
 steps (e.g. a genetic generation) override :meth:`step` wholesale.
 
 :func:`interleave` is the one run loop: it steps a list of
-:class:`LaneRun` round-robin until each is out of budget or stalled
-(keeps proposing only already-cached candidates), checkpointing at
-pass boundaries.  :func:`run_strategy` is its one-lane call and
-returns a :class:`SearchOutcome` carrying the incumbent, the
-evaluation accounting, and the anytime trace; the inline portfolio
+:class:`LaneRun` round-robin until each is out of budget, has
+evaluated its whole sharing space, or stalled (keeps proposing only
+already-cached candidates), checkpointing at pass boundaries.
+:func:`run_strategy` is its one-lane call and returns a
+:class:`SearchOutcome` carrying the incumbent, the evaluation
+accounting, and the anytime trace; the inline portfolio
 (:mod:`repro.search.parallel`) runs its lanes through the same loop.
 
 Reproducibility discipline: all randomness flows from the single
@@ -29,6 +30,7 @@ from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+from .. import obs
 from ..core.optimizer import OptimizationResult
 from ..core.sharing import Partition, format_partition
 from .budget import BudgetExhausted
@@ -256,6 +258,14 @@ class SearchOutcome:
     :param stalled: whether the run ended on the stall guard rather
         than budget exhaustion.
     :param trace: the anytime improvement trace.
+    :param n_revisits: evaluations answered free from the problem's
+        cost cache (a strategy re-proposing a seen candidate).
+    :param space_exhausted: whether the run evaluated every partition
+        of the sharing space (Bell(n) of them).  The run loop stops
+        such a run after the step that completes the space, before the
+        stall guard can fire, and because gated costs are admissible
+        bounds its best is then the exact optimum.  Also true of a run
+        whose budget merely equals the space.
     """
 
     strategy: str
@@ -270,6 +280,8 @@ class SearchOutcome:
     stalled: bool
     trace: tuple[TracePoint, ...]
     n_gated: int = 0
+    n_revisits: int = 0
+    space_exhausted: bool = False
 
     def to_result(self) -> OptimizationResult:
         """Project onto the shared optimizer result record.
@@ -316,8 +328,11 @@ class SearchOutcome:
                 None if self.best_partition is None else self.best_cost
             ),
             "improvements": len(self.trace),
+            "n_steps": self.n_steps,
+            "n_revisits": self.n_revisits,
             "elapsed_s": self.elapsed_s,
             "stalled": self.stalled,
+            "space_exhausted": self.space_exhausted,
         }
 
     def summary(self) -> str:
@@ -332,7 +347,8 @@ class SearchOutcome:
             f"({self.n_evaluated} evaluations, {self.n_packs} packs, "
             f"{self.n_gated} gated, "
             f"{self.n_steps} steps, {self.elapsed_s:.2f}s"
-            f"{', stalled' if self.stalled else ''})"
+            f"{', stalled' if self.stalled else ''}"
+            f"{', space exhausted' if self.space_exhausted else ''})"
         )
 
 
@@ -357,16 +373,31 @@ class LaneRun:
 
     def advance(self) -> None:
         """Take one step, or finish: on an exhausted budget (checked
-        between steps, enforced mid-step by the problem) or a stall."""
-        if self.problem.budget.exhausted:
-            self.done = True
+        between steps, enforced mid-step by the problem), an evaluated
+        space, or a stall."""
+        problem = self.problem
+        if problem.budget.exhausted:
+            self._finish()
             return
         try:
             self.strategy.step()
         except BudgetExhausted:
-            self.done = True
+            self._finish()
             return
-        self.done = self.guard.step(self.problem.n_evaluated)
+        if self.guard.step(problem.n_evaluated) \
+                or problem.space_exhausted:
+            self._finish()
+
+    def _finish(self) -> None:
+        """Mark the lane done and publish its step and revisit counts
+        (once per lane, so the disabled path pays one branch)."""
+        self.done = True
+        st = obs.state()
+        if st is not None:
+            st.registry.counter("search.steps").inc(self.guard.steps)
+            st.registry.counter("search.revisits").inc(
+                self.problem.n_revisits
+            )
 
     def snapshot(self) -> dict:
         """The lane's checkpoint entry (taken between steps)."""
@@ -415,6 +446,8 @@ class LaneRun:
             budget=problem.budget.describe(),
             stalled=self.guard.stalled,
             trace=tuple(problem.trace),
+            n_revisits=problem.n_revisits,
+            space_exhausted=problem.space_exhausted,
         )
 
 
@@ -424,11 +457,16 @@ def interleave(runs: Sequence[LaneRun], checkpoint=None,
 
     One pass gives each live lane one step, in lane order, so the loop
     is deterministic.  A lane is done when its budget is exhausted (its
-    evaluation slice or the wall clock) or when it stalls —
+    evaluation slice or the wall clock), after the step that evaluates
+    the last unevaluated partition of its space (Bell(n) of them; the
+    outcome then reports ``space_exhausted``), or when it stalls —
     :data:`STALL_LIMIT` consecutive steps without one paid evaluation,
-    the small-instance case where the whole reachable space is cached.
-    An unlimited budget is accepted; the lane then ends on the stall
-    guard alone.
+    the case where the strategy keeps re-proposing cached candidates.
+    The exhausted stop fires only when nothing is left to evaluate, so
+    the trace, the best and the evaluation counts are those the lane
+    would have reached had it kept stepping.  An unlimited budget is
+    accepted; the lane then ends on an evaluated space or the stall
+    guard.
 
     With *checkpoint* (a
     :class:`~repro.search.checkpoint.SearchCheckpoint`), the loop

@@ -217,6 +217,7 @@ def stable_optimize_result(spec: JobSpec, outcome) -> dict:
         "n_evaluated": outcome.n_evaluated,
         "n_gated": outcome.n_gated,
         "stalled": outcome.stalled,
+        "space_exhausted": outcome.space_exhausted,
         "trace": [
             [point.n_evaluated, point.best_cost, point.partition]
             for point in outcome.trace

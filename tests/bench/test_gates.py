@@ -189,7 +189,7 @@ class TestGateReadsBaselineFirst:
         _stub_studies(monkeypatch, module, {
             f"{name}_study": worse[name]
             for name in ("parity", "throughput", "search", "power",
-                         "staircase")
+                         "staircase", "scenario_read")
         })
         argv = ["--gate", "--out", str(path), "--baseline", str(path)]
         assert module.main(argv) == 1
@@ -242,7 +242,7 @@ class TestBenchSummary:
         _stub_studies(monkeypatch, module, {
             f"{name}_study": base[name]
             for name in ("parity", "throughput", "search", "power",
-                         "staircase")
+                         "staircase", "scenario_read")
         })
         summary = module.run_bench()["summary"]
         assert summary["platform"] == platform.platform()
@@ -253,7 +253,7 @@ class TestBenchSummary:
 
     @pytest.mark.parametrize("name, expected", [
         ("eval", {"workload": "big12m", "width": 32, "budget": 2000,
-                  "evals_per_s": 918.96}),
+                  "evals_per_s": 1412.06}),
         ("search", {"workload": "big12m", "width": 32, "budget": 200,
                     "best_cost": 38.8919}),
         ("parallel", {"workload": "big12m", "width": 32, "workers": 4}),

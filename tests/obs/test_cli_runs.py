@@ -1,11 +1,13 @@
 """CLI integration: ``repro runs ...``, ``repro watch``, --obs-root."""
 
+import itertools
 import json
 
 import pytest
 
 from repro import obs
 from repro.cli import main
+from repro.search import Budget
 
 
 @pytest.fixture(autouse=True)
@@ -15,7 +17,17 @@ def _no_ambient_root(monkeypatch):
 
 @pytest.fixture()
 def recorded(tmp_path, capsys, monkeypatch):
-    """One smoke run recorded into a fresh ledger; returns (root, id)."""
+    """One smoke run recorded into a fresh ledger; returns (root, id).
+
+    The smoke space is evaluated in well under a millisecond, so a
+    wall-clock evals/s would measure the machine's load.  For this run
+    and any rerun in the same test, every :class:`Budget` defaults to a
+    pinned clock that advances 1 ms per read: lane ``elapsed_s``, and
+    with it the recorded evals/s, is then a function of the run alone.
+    """
+    ticks = itertools.count()
+    monkeypatch.setattr(Budget.__init__, "__defaults__",
+                        (None, None, lambda: next(ticks) * 1e-3))
     monkeypatch.chdir(tmp_path)
     root = tmp_path / "ledger"
     run_dir = tmp_path / "run"

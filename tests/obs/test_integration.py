@@ -7,7 +7,7 @@ import pytest
 from repro import obs
 from repro.cli import main
 from repro.runner import expand_grid, run_sweep
-from repro.search import PortfolioPool, optimize
+from repro.search import PortfolioPool, optimize, portfolio_search
 from repro.workloads import build
 
 
@@ -94,6 +94,38 @@ class TestGateSpan:
         assert gate["total"] > 0
 
 
+class TestSearchCounters:
+    """Each lane publishes its steps and free revisits once, when it
+    ends, in the parent or in a pool worker alike."""
+
+    @staticmethod
+    def counters(run_dir):
+        obs.flush()
+        return obs.aggregate(run_dir).counters
+
+    def test_optimize_publishes_the_outcome_counts(self, run_dir):
+        outcome = optimize(
+            build("big8m"), width=16, strategy="genetic",
+            max_evaluations=60, seed=1, shuffles=0,
+        )
+        counters = self.counters(run_dir)
+        assert counters["search.steps"] == outcome.n_steps > 0
+        assert counters["search.revisits"] == outcome.n_revisits > 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_portfolio_lanes_publish_their_counts(self, run_dir,
+                                                  workers):
+        outcome = portfolio_search(
+            build("big8m"), width=16, lanes=4, workers=workers,
+            budget=80, shuffles=0, improvement_passes=1,
+        )
+        counters = self.counters(run_dir)
+        assert counters["search.steps"] \
+            == sum(o.n_steps for o in outcome.outcomes)
+        assert counters["search.revisits"] \
+            == sum(o.n_revisits for o in outcome.outcomes)
+
+
 class TestCliRunDir:
     @pytest.fixture()
     def smoke_run(self, tmp_path, capsys, monkeypatch):
@@ -132,6 +164,16 @@ class TestCliRunDir:
         assert any(
             line.split()[:1] == ["gate"] for line in timings.splitlines()
         )
+
+    def test_report_shows_steps_and_revisits_per_lane(self, smoke_run,
+                                                      capsys):
+        assert main(["report", "--run", str(smoke_run)]) == 0
+        out = capsys.readouterr().out
+        (lane,) = json.loads((smoke_run / obs.LANES_FILE).read_text())
+        header, _, row = out.split("lanes\n", 1)[1].splitlines()[:3]
+        columns = dict(zip(header.split(), row.split()))
+        assert columns["steps"] == str(lane["n_steps"])
+        assert columns["revisits"] == str(lane["n_revisits"])
 
     def test_report_on_missing_run_dir_is_a_cli_error(self, tmp_path,
                                                       capsys):

@@ -46,6 +46,8 @@ def _fingerprint(outcome, schedule):
         "n_packs": outcome.n_packs,
         "n_gated": outcome.n_gated,
         "n_steps": outcome.n_steps,
+        "n_revisits": outcome.n_revisits,
+        "space_exhausted": outcome.space_exhausted,
         "schedule": (
             schedule.width,
             tuple(
@@ -77,6 +79,9 @@ class TestDisabledTelemetryIsANoop:
         merged = obs.aggregate(tmp_path / "run", write=False)
         assert merged.counters["search.evaluations"] == 60
         assert merged.counters["eval.packs"] >= 1
+        assert merged.counters["search.steps"] == enabled["n_steps"]
+        assert merged.counters["search.revisits"] \
+            == enabled["n_revisits"]
 
     def test_trace_points_are_stamped_with_both_clocks(self, tmp_path):
         """Satellite: TracePoint carries monotonic AND epoch stamps

@@ -120,9 +120,12 @@ class TestInterrupt:
         calls = {"n": 0}
         original = SearchProblem.evaluate
 
+        # mini_ms has two partitions, and a lane stops once it has
+        # evaluated both; interrupt after each lane's first evaluation,
+        # before either can finish
         def interruptible(self, partition):
             calls["n"] += 1
-            if calls["n"] > 12:
+            if calls["n"] > 2:
                 raise KeyboardInterrupt
             return original(self, partition)
 

@@ -214,6 +214,38 @@ class TestPortfolioCheckpoint:
         assert [trace_view(o) for o in resumed.outcomes] \
             == [trace_view(o) for o in reference.outcomes]
 
+    def test_snapshot_without_revisit_count_still_resumes(
+        self, tmp_path, big8_soc
+    ):
+        """Snapshots written before revisits were counted lack the
+        count; resume replays the uninterrupted trajectory and counts
+        revisits from the resume on."""
+        model = quick_model(big8_soc, width=8)
+        kwargs = dict(width=8, lanes=self.LANES, workers=1, budget=40,
+                      model=model)
+        reference = portfolio_search(big8_soc, **kwargs)
+
+        checkpoint = SearchCheckpoint(tmp_path / "pf.pkl", every=2)
+        faults.install("abort@eval:25")
+        with pytest.raises(FaultInjected):
+            portfolio_search(big8_soc, checkpoint=checkpoint, **kwargs)
+        faults.install(None)
+        state = checkpoint.load()
+        for lane in state["lanes"]:
+            del lane["problem"]["n_revisits"]
+        checkpoint.save(state)
+        resumed = portfolio_search(big8_soc, checkpoint=checkpoint,
+                                   **kwargs)
+
+        assert [o.n_evaluated for o in resumed.outcomes] \
+            == [o.n_evaluated for o in reference.outcomes]
+        assert [trace_view(o) for o in resumed.outcomes] \
+            == [trace_view(o) for o in reference.outcomes]
+        assert all(
+            o.n_revisits <= r.n_revisits
+            for o, r in zip(resumed.outcomes, reference.outcomes)
+        )
+
     def test_checkpoint_requires_single_worker(self, tmp_path, big8_soc):
         with pytest.raises(ValueError, match="workers=1"):
             portfolio_search(
@@ -268,4 +300,5 @@ class TestInterruptPolicy:
 
         assert resumed.n_evaluated == reference.n_evaluated
         assert resumed.n_steps == reference.n_steps
+        assert resumed.n_revisits == reference.n_revisits
         assert trace_view(resumed) == trace_view(reference)

@@ -64,12 +64,15 @@ class TestEveryStrategy:
         assert evals == sorted(evals)
         assert evals[-1] <= outcome.n_evaluated
 
-    def test_small_space_stalls_out(self, mini_model, name):
-        """On the 2-partition mini SOC every strategy exhausts the
-        space and ends via the stall guard, finding the optimum."""
+    def test_small_space_ends_exhausted(self, mini_model, name):
+        """On the 2-partition mini SOC every strategy evaluates the
+        whole space and ends there, not on the stall guard, having
+        found the optimum."""
         outcome = run_on(mini_model, name, budget=50)
         assert outcome.n_evaluated == 2
-        assert outcome.stalled
+        assert outcome.space_exhausted
+        assert not outcome.stalled
+        assert outcome.n_steps < 50
         costs = [
             mini_model.total_cost(p)
             for p in (

@@ -49,17 +49,17 @@ class TestCanonicalization:
 
 class TestOptimizeWireFormat:
     """The optimize wire format is frozen: canonical keys, defaults and
-    job keys (``CACHE_VERSION`` 5) must not move."""
+    job keys (``CACHE_VERSION`` 6) must not move."""
 
     @pytest.mark.parametrize("params, key", [
         ({"workload": "mini"},
-         "4448ed8775667275c4b458faff40b7d10858eadf63c22a7db49eb2a6da28ab09"),
+         "bb3ff38887f79903d654e368fc871e6b7edbaf2b746f4ca061602044106e4d3b"),
         ({"workload": "big8m", "width": 8, "strategy": "anneal",
           "budget": 60, "effort": "quick"},
-         "da97ff5306477e4a1dde486c7500d646a2f6ff8a24fab8978a7bb8097edb4d4b"),
+         "9d1f7289c3c9a7c10e27a9bbe64af239585738114e02b935adbcd133aec9ff99"),
         ({"workload": "big12mp", "power_budget": 113, "strategy": "tabu",
           "budget": 100, "search_seed": 3, "wt": 0.3},
-         "e250c06b52b42af71042ea56137c072a41e79a399fabea2a5687ea4940e85377"),
+         "d7cbd7d8dd2880cb334640d38df577060f1bdd77ccecec89a23259f0b33e4eaf"),
     ])
     def test_job_keys_are_pinned(self, params, key):
         assert JobSpec.create("optimize", params).job_key == key

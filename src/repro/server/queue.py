@@ -447,8 +447,6 @@ class JobQueue:
             counters = {
                 "search.evaluations": value.n_evaluated,
                 "search.gated": value.n_gated,
-                "search.steps": value.n_steps,
-                "search.revisits": value.n_revisits,
             }
         self._write_job_metrics(
             job_dir, **counters, **{"job.retries": retries}
@@ -473,8 +471,7 @@ class JobQueue:
         """Synthesize ``metrics.json`` in the ledger's snapshot shape.
 
         Counter names follow the CLI runs' vocabulary
-        (``search.evaluations``, ``search.gated``, ``search.steps``,
-        ``search.revisits``, ``job.retries``) so
+        (``search.evaluations``, ``search.gated``, ``job.retries``) so
         :meth:`repro.obs.ledger.RunLedger.fold_run` derives the same
         summary fields from a served job as from a CLI run.
         """

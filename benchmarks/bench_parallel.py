@@ -1,6 +1,6 @@
 """Parallel-runtime benchmark: portfolio speedup and warm-pool sweeps.
 
-Four studies, recorded into ``BENCH_parallel.json`` (the repo's perf
+Five studies, recorded into ``BENCH_parallel.json`` (the repo's perf
 trajectory for the parallel search/runner layer of PR 4):
 
 * **portfolio** — a 2000-evaluation ``big12m`` portfolio (8 lanes:
@@ -41,6 +41,14 @@ trajectory for the parallel search/runner layer of PR 4):
   with the PR 8 supervision loop on versus off (min-of-repeats both
   sides).  Gate: supervised wall-clock within 5% of the bare pool —
   crash tolerance must be free on the fault-free path.
+
+* **bundles** — perfbench's sweep grid (four presets x four widths x
+  two w_T x {Cost_Optimizer, exhaustive}) swept cold on 2 workers with
+  no cache.  Jobs that share a schedule space run as one bundle with
+  one pack memo; the record keeps the job and bundle counts (bundling
+  coarsens parallelism), the packs run against the paid evaluations
+  (the paper's n), and the cold wall time.  Gate: the bundles pack
+  fewer schedules than they pay for, and no job fails.
 
 Runs standalone (CI writes the JSON artifact this way)::
 
@@ -85,6 +93,12 @@ SWEEP_PRESETS = ("d695m", "g1023m", "p93791m")
 SWEEP_WIDTHS = (16, 24, 32)
 SWEEP_REPEATS = 3
 SWEEP_WORKERS = 4
+
+#: the bundle study's grid (perfbench's sweep grid) and worker count
+BUNDLE_PRESETS = ("d695m", "g1023m", "p22810m", "p93791m")
+BUNDLE_WIDTHS = (16, 32, 48, 64)
+BUNDLE_WTS = (0.3, 0.7)
+BUNDLE_WORKERS = 2
 
 
 def _serial_model(soc, pack_kwargs: dict):
@@ -316,11 +330,42 @@ def supervision_study(effort: str, workers: int = SWEEP_WORKERS,
     }
 
 
+def bundle_study(effort: str, workers: int = BUNDLE_WORKERS) -> dict:
+    """A cold sweep of perfbench's grid: what the bundle memos save."""
+    from repro.runner.engine import _bundles
+
+    jobs = [
+        job
+        for exhaustive in (False, True)
+        for job in expand_grid(BUNDLE_PRESETS, BUNDLE_WIDTHS,
+                               wts=BUNDLE_WTS, effort=effort,
+                               exhaustive=exhaustive)
+    ]
+    started = time.perf_counter()
+    sweep = run_sweep(jobs, workers=workers)
+    cold_s = time.perf_counter() - started
+    totals = sweep.pack_stats()
+    return {
+        "presets": list(BUNDLE_PRESETS),
+        "widths": list(BUNDLE_WIDTHS),
+        "wts": list(BUNDLE_WTS),
+        "effort": effort,
+        "workers": workers,
+        "n_jobs": len(jobs),
+        "n_bundles": len(_bundles(jobs, workers)),
+        "packs": totals.packs,
+        "memo_hits": totals.memo_hits,
+        "evaluations": sum(r.n_evaluated for r in sweep.results),
+        "failed": len(sweep.errors),
+        "cold_s": round(cold_s, 3),
+    }
+
+
 def run_bench(effort: str = "medium", budget: int = 2000,
               repeats: int = SWEEP_REPEATS,
               speedup_target: float = 2.5,
               cost_tolerance: float = 0.0) -> dict:
-    """The full benchmark record (both studies).
+    """The full benchmark record (every study).
 
     *speedup_target* is the enforced wall-clock ratio for the default
     (acceptance) configuration; the ``--quick`` smoke halves the
@@ -351,6 +396,7 @@ def run_bench(effort: str = "medium", budget: int = 2000,
             effort, min(budget, 500)
         ),
         "supervision": supervision_study(effort),
+        "bundles": bundle_study(effort),
     }
     portfolio = record["portfolio"]
     # the speedup gate follows PR 3's hardware-variance guard idiom:
@@ -372,6 +418,10 @@ def run_bench(effort: str = "medium", budget: int = 2000,
         "supervision_overhead": record["supervision"][
             "supervision_overhead"
         ] <= 1.05,
+        "bundle_packs": (
+            record["bundles"]["packs"] < record["bundles"]["evaluations"]
+            and not record["bundles"]["failed"]
+        ),
     }
     if not enough_cpus:
         record["speedup_note"] = (
@@ -452,6 +502,13 @@ def main(argv: list[str] | None = None) -> int:
           f"{supervision['bare_s']}s = "
           f"{supervision['supervision_overhead']}x overhead "
           f"(gate <= 1.05x)")
+    bundles = record["bundles"]
+    print(f"bundles ({bundles['n_jobs']} cold jobs in "
+          f"{bundles['n_bundles']} bundles on {bundles['workers']} "
+          f"workers): {bundles['packs']} packs for "
+          f"{bundles['evaluations']} paid evaluations "
+          f"({bundles['memo_hits']} answered by the memos) in "
+          f"{bundles['cold_s']}s")
     return conclude(record, args)
 
 

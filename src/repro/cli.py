@@ -519,8 +519,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ps.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-job wall timeout: a worker past it is killed and "
-             "replaced, the job retried (default: none)",
+        help="per-job wall timeout: jobs that share a schedule space "
+             "run as one bundle, whose deadline is SECONDS times its "
+             "job count; a worker past it is killed and replaced, the "
+             "bundle retried (default: none); with --jobs >= 2, "
+             "records stream per bundle",
     )
     ps.add_argument(
         "--retries", type=int, default=2, metavar="N",

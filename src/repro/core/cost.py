@@ -15,9 +15,10 @@ representatives cheaply.
 :class:`ScheduleEvaluator` wraps the rectangle-packing TAM optimizer
 with two guarantees the optimization layer relies on:
 
-* **caching** — each sharing combination is packed at most once per
+* **caching** — each sharing combination is evaluated at most once per
   evaluator (the paper's evaluation counts ``n`` / ``N_tot`` are counts
-  of these packs);
+  of these evaluations; an optional memo shared by evaluators of one
+  schedule space answers repeats across them without packing);
 * **refinement monotonicity** — a schedule found under a coarser
   partition is feasible under any refinement (serialization constraints
   only relax), so makespans are propagated along the refinement order.
@@ -94,6 +95,17 @@ class ScheduleEvaluator:
     :param engine: ``"fast"`` (the :class:`~repro.tam.packing.PackContext`
         hot path) or ``"reference"`` (the retained seed packer of
         :mod:`repro.tam.reference` — benchmarks and parity tests only).
+    :param memo: optional dict from partition to raw pack result, shared
+        with other evaluators of the same SOC (power budget included),
+        width, engine, self-test flag and pack kwargs — the sweep
+        engine gives one to each bundle of jobs and drops it when the
+        bundle ends.  :meth:`_pack` reads it before packing and fills
+        it after, beneath the ``evaluations`` count, the
+        ``on_evaluation`` hook and refinement propagation, so those and
+        every makespan are unchanged; only :attr:`pack_stats` differs
+        (fewer ``packs``, the answers counted as ``memo_hits``).  A
+        pack is a pure function of its partition, which is what makes
+        the sharing exact.
     :param pack_kwargs: forwarded to :func:`repro.tam.packing.pack`
         (e.g. ``shuffles=0`` for faster, rougher evaluations in tests).
     """
@@ -104,6 +116,7 @@ class ScheduleEvaluator:
         width: int,
         include_self_test: bool = False,
         engine: str = "fast",
+        memo: dict[Partition, Schedule] | None = None,
         **pack_kwargs,
     ):
         if width < 1:
@@ -120,6 +133,8 @@ class ScheduleEvaluator:
         #: unconstrained).  Threaded into every pack and every bound.
         self.power_budget = soc.power_budget
         self._pack_kwargs = pack_kwargs
+        self._memo = memo
+        self._memo_hits = 0
         self._digital = digital_tasks(soc, ParetoCache(width))
         self._schedules: dict[Partition, Schedule] = {}
         # refinement-propagation index: signature (sorted group sizes;
@@ -140,10 +155,11 @@ class ScheduleEvaluator:
             core.name: core.total_cycles for core in soc.analog_cores
         }
         self._group_cycles: dict[tuple[str, ...], int] = {}
-        #: number of actual packing runs performed (the paper's ``n``)
+        #: number of schedule-cache misses, packed or answered by the
+        #: memo (the paper's ``n``)
         self.evaluations = 0
         #: metering hook: called with the updated evaluation count
-        #: after every actual packing run (cache hits never fire it).
+        #: after every cache miss (cache hits never fire it).
         #: Budget meters and progress displays for the anytime
         #: optimizers (:mod:`repro.search`) attach here; an exception
         #: raised by the hook propagates to the caller, which is how a
@@ -157,9 +173,15 @@ class ScheduleEvaluator:
 
     @property
     def pack_stats(self) -> PackStats | None:
-        """Hot-path counters of the shared pack context (``None``
-        before the first fast-engine pack)."""
-        return self._context.stats if self._context is not None else None
+        """Hot-path counters of the shared pack context, plus the
+        evaluations the memo answered (``None`` before the first
+        fast-engine pack or memo answer)."""
+        stats = self._context.stats if self._context is not None else None
+        if self._memo_hits:
+            stats = PackStats(memo_hits=self._memo_hits).merge(
+                stats or PackStats()
+            )
+        return stats
 
     def publish_obs(self) -> None:
         """Fold hot-path counters into the telemetry registry.
@@ -260,6 +282,17 @@ class ScheduleEvaluator:
         )
 
     def _pack(self, partition: Partition) -> Schedule:
+        memo = self._memo
+        if memo is None:
+            return self._pack_tasks(partition)
+        result = memo.get(partition)
+        if result is not None:
+            self._memo_hits += 1
+            return result
+        result = memo[partition] = self._pack_tasks(partition)
+        return result
+
+    def _pack_tasks(self, partition: Partition) -> Schedule:
         tasks = self._digital + analog_tasks(
             self.soc.analog_cores,
             partition,

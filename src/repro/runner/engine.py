@@ -23,9 +23,14 @@ path but returns the whole search outcome and takes a checkpoint; it
 is what ``repro serve`` runs for ``optimize`` jobs, and it reads no
 cache.
 
-Results stream back to the parent as they complete and are appended to
-a JSON-lines file immediately, so long sweeps are inspectable in
-flight and every line on disk is a complete record.  The aggregate
+Jobs that differ only in ``wt``, ``delta`` or ``exhaustive`` pack the
+same schedules, so :func:`run_sweep` runs them as one *bundle* whose
+pack memo is dropped when the bundle ends, never kept process-wide.
+
+Results stream back to the parent as they complete (on a pool, one
+bundle at a time) and are appended to a JSON-lines file immediately,
+so long sweeps are inspectable in flight and every line on disk is a
+complete record.  The aggregate
 :class:`SweepResult` renders a summary table via
 :mod:`repro.reporting`.
 
@@ -46,8 +51,9 @@ import json
 import os
 import sys
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
+from dataclasses import fields as dataclass_fields
 
 from .. import faults, obs, workloads
 from ..supervise import PoolBroken, SupervisedPool
@@ -56,6 +62,7 @@ from ..core.cost import CostModel, CostWeights, ScheduleEvaluator
 from ..core.exhaustive import exhaustive_search
 from ..core.optimizer import cost_optimizer
 from ..core.sharing import (
+    Partition,
     format_partition,
     identical_core_classes,
     paper_combinations,
@@ -64,6 +71,7 @@ from ..core.sharing import (
 from ..reporting import append_jsonl, render_table, write_jsonl
 from ..search import SearchCheckpoint, SearchOutcome, optimize
 from ..tam.packing import PackStats
+from ..tam.schedule import Schedule
 from ..soc import itc02
 from ..soc.model import Soc
 from .cache import DiskCache, MemoCache, content_key
@@ -162,9 +170,15 @@ def _write_trace(trace_dir: str, job: SweepJob,
     write_jsonl(records, trace_path(trace_dir, job))
 
 
-def _job_model(job: SweepJob, soc: Soc) -> CostModel:
-    """The job's cost model."""
-    evaluator = ScheduleEvaluator(soc, job.width, **job.pack_kwargs)
+def _job_model(
+    job: SweepJob,
+    soc: Soc,
+    pack_memo: dict[Partition, Schedule] | None = None,
+) -> CostModel:
+    """The job's cost model, its evaluator reading *pack_memo*."""
+    evaluator = ScheduleEvaluator(
+        soc, job.width, memo=pack_memo, **job.pack_kwargs
+    )
     return CostModel(
         soc, job.width, CostWeights(time=job.wt, area=1.0 - job.wt),
         AreaModel(soc.analog_cores), evaluator=evaluator,
@@ -215,6 +229,7 @@ def evaluate_job(
     job: SweepJob,
     cache_dir: str | None = None,
     trace_dir: str | None = None,
+    pack_memo: dict[Partition, Schedule] | None = None,
 ) -> JobResult:
     """Run one sweep job (in the current process).
 
@@ -230,6 +245,12 @@ def evaluate_job(
     Caching is read-through-memoized per process: repeated lookups of
     the same job entry (across sweeps on a persistent pool) skip the
     filesystem entirely.
+
+    *pack_memo* is the pack memo of the job's bundle (see
+    :func:`run_sweep`): a dict its evaluator reads before packing a
+    partition and fills after.  Only jobs that share a schedule space —
+    the same job but for ``wt``, ``delta`` and ``exhaustive`` — may
+    share one; it changes no result field but ``pack_stats``.
     """
     started = time.perf_counter()
     cache = MemoCache(DiskCache(cache_dir)) if cache_dir else None
@@ -254,7 +275,7 @@ def evaluate_job(
                 cache_stats=cache.stats(),
             )
 
-    model = _job_model(job, soc)
+    model = _job_model(job, soc, pack_memo)
     evaluator = model.evaluator
     trace: list[dict] = []
     if job.strategy:
@@ -351,19 +372,75 @@ def _publish_job_obs(
     st.flush()
 
 
-def _worker(args: tuple[SweepJob, str | None, str | None]) -> dict:
-    """Pool entry point: evaluate one job, trapping failures per job."""
-    job, cache_dir, trace_dir = args
-    # fault-harness site: *outside* the per-job trap, so an injected
-    # crash/hang/flaky fault reaches the supervisor (and is retried)
-    # instead of being reported as a job error
-    faults.hit("job")
-    try:
-        return evaluate_job(job, cache_dir, trace_dir).to_dict()
-    except Exception as exc:  # noqa: BLE001 — isolate job failures
-        return JobResult(
-            job=job, status="error", error=f"{type(exc).__name__}: {exc}"
-        ).to_dict()
+#: the job fields a bundle shares: all but ``wt``, ``delta`` and
+#: ``exhaustive``.  Eq. (2) weighs C_T against C_A after packing, so
+#: ``wt`` never reaches a schedule, and the paper and exhaustive flows
+#: pack from one space.  The strategy fields stay in, so a strategy
+#: race keeps one task per strategy.
+_BUNDLE_FIELDS = tuple(
+    field.name for field in dataclass_fields(SweepJob)
+    if field.name not in ("wt", "delta", "exhaustive")
+)
+
+
+def _bundle_key(job: SweepJob) -> tuple:
+    """What a job's schedules depend on (see :data:`_BUNDLE_FIELDS`)."""
+    return tuple(getattr(job, name) for name in _BUNDLE_FIELDS)
+
+
+def _bundles(
+    jobs: Sequence[SweepJob], workers: int
+) -> list[list[SweepJob]]:
+    """*jobs* grouped by :func:`_bundle_key`, in order of first
+    appearance.
+
+    While there would be fewer bundles than *workers*, the largest
+    splits in two (the first of equal sizes, halves in job order), so
+    a small grid still keeps every worker busy.
+    """
+    groups: dict[tuple, list[SweepJob]] = {}
+    for job in jobs:
+        groups.setdefault(_bundle_key(job), []).append(job)
+    bundles = list(groups.values())
+    while 0 < len(bundles) < workers:
+        largest = max(bundles, key=len)
+        if len(largest) < 2:
+            break
+        at, half = bundles.index(largest), (len(largest) + 1) // 2
+        bundles[at:at + 1] = [largest[:half], largest[half:]]
+    return bundles
+
+
+def _run_bundle(
+    jobs: Sequence[SweepJob], cache_dir: str | None, trace_dir: str | None
+) -> Iterator[dict]:
+    """Evaluate one bundle's jobs in order, yielding one record each.
+
+    The jobs share one pack memo, dropped when the bundle ends; each
+    still goes through :func:`evaluate_job` on its own, with its own
+    fault-harness hit and its own error record.
+    """
+    pack_memo: dict[Partition, Schedule] = {}
+    for job in jobs:
+        # fault-harness site: *outside* the per-job trap, so an
+        # injected crash/hang/flaky fault reaches the supervisor (and
+        # the bundle is retried) instead of being reported as a job
+        # error
+        faults.hit("job")
+        try:
+            yield evaluate_job(job, cache_dir, trace_dir, pack_memo).to_dict()
+        except Exception as exc:  # noqa: BLE001 — isolate job failures
+            yield JobResult(
+                job=job, status="error",
+                error=f"{type(exc).__name__}: {exc}",
+            ).to_dict()
+
+
+def _worker(
+    args: tuple[Sequence[SweepJob], str | None, str | None]
+) -> list[dict]:
+    """Pool entry point: evaluate one bundle, one record per job."""
+    return list(_run_bundle(*args))
 
 
 @dataclass(frozen=True)
@@ -481,9 +558,10 @@ class SweepResult:
                 f"{memo_hits} memo hits"
             )
         pack_totals = self.pack_stats()
-        if pack_totals.packs:
+        if pack_totals.packs or pack_totals.memo_hits:
             lines.append(
-                f"packing: {pack_totals.packs} packs, "
+                f"packing: {pack_totals.packs} packs "
+                f"(+{pack_totals.memo_hits} answered by bundle memos), "
                 f"{pack_totals.orders_tried} orders tried "
                 f"({pack_totals.orders_pruned} pruned, "
                 f"{pack_totals.lb_stops} bound stops), "
@@ -547,6 +625,15 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate *jobs*, optionally in parallel, streaming JSONL results.
 
+    Jobs that share a schedule space — equal but for ``wt``, ``delta``
+    and ``exhaustive`` — run as one *bundle*: one pool task, or one
+    inline loop, whose jobs share a pack memo, so each distinct
+    schedule is packed once per bundle (``pack_stats`` counts the rest
+    as ``memo_hits``; every other result field is unchanged).  While
+    there would be fewer bundles than workers, the largest splits in
+    two.  Each job still runs through :func:`evaluate_job` and gets its
+    own record, progress call and fault-harness hit.
+
     :param jobs: the evaluation grid (see
         :func:`repro.runner.jobs.expand_grid`).
     :param workers: worker process count.  ``1`` is guaranteed to run
@@ -557,10 +644,11 @@ def run_sweep(
         :func:`repro.workloads.register` for the ``spawn`` caveat).
     :param cache_dir: on-disk cache directory shared by all workers;
         ``None`` disables caching.
-    :param out_path: JSONL file to stream records to (appended as each
-        job completes, in completion order).
+    :param out_path: JSONL file to stream records to, one per job,
+        appended in completion order: inline as each job completes, on
+        a pool as each bundle completes.
     :param progress: optional callback invoked with each
-        :class:`~repro.runner.jobs.JobResult` on completion.
+        :class:`~repro.runner.jobs.JobResult` as its record arrives.
     :param trace_dir: directory collecting one anytime-trace JSONL per
         search job (``None`` skips trace files; paper-flow jobs have no
         trace either way).
@@ -574,12 +662,15 @@ def run_sweep(
         keep their workers (and the workers' SOC/staircase/disk-entry
         memos) warm.  Overrides *workers*; the pool stays open for the
         caller to close.
-    :param timeout_s: per-job wall timeout on the pool path — a worker
-        past it is killed and replaced, the job requeued (``None``
-        disables; ignored inline, where nothing can kill a hung job).
-    :param max_retries: retries per job (crash, hang, transient
-        dispatch error) before it is quarantined into
-        :attr:`SweepResult.errors` with its traceback.
+    :param timeout_s: per-job wall timeout on the pool path: a
+        bundle's task gets *timeout_s* times its job count, and a
+        worker past that is killed and replaced, the bundle requeued
+        (``None`` disables; ignored inline, where nothing can kill a
+        hung job).
+    :param max_retries: retries per bundle (crash, hang, transient
+        dispatch error) before its jobs are quarantined into
+        :attr:`SweepResult.errors` with its traceback; every job of a
+        retried bundle carries the bundle's retry count.
     :param resume_from: a previous run's ``--out`` JSONL (or its
         directory): jobs already completed there are reused instead of
         re-run — the checkpoint/resume path for interrupted sweeps
@@ -615,9 +706,14 @@ def run_sweep(
                 obs.counter("resume.skipped")
                 handle(record)
 
-        work = [(job, cache_dir, trace_dir)
-                for job in jobs if job not in resumed]
+        work = [job for job in jobs if job not in resumed]
+        bundles = _bundles(work, workers)
         done: set[int] = set()
+
+        def run_inline(pending: list[list[SweepJob]]) -> None:
+            for bundle in pending:
+                for record in _run_bundle(bundle, cache_dir, trace_dir):
+                    handle(record)
 
         retry_counts: dict[int, int] = {}
 
@@ -626,27 +722,32 @@ def run_sweep(
                 retry_counts[index] = retry_counts.get(index, 0) + 1
 
             for index, ok, value in active.run_tasks(
-                [(_worker, (item,)) for item in work],
-                timeout_s=timeout_s, max_retries=max_retries,
-                on_retry=tally,
+                [(_worker, ((bundle, cache_dir, trace_dir),))
+                 for bundle in bundles],
+                timeout_s=None if timeout_s is None else [
+                    timeout_s * len(bundle) for bundle in bundles
+                ],
+                max_retries=max_retries, on_retry=tally,
             ):
                 if not ok:
-                    # quarantined after max_retries: the job lands in
-                    # SweepResult.errors with its traceback instead of
-                    # sinking the sweep
-                    value = JobResult(
-                        job=work[index][0], status="error", error=value
-                    ).to_dict()
-                value["retries"] = retry_counts.get(index, 0)
+                    # quarantined after max_retries: the bundle's jobs
+                    # land in SweepResult.errors with its traceback
+                    # instead of sinking the sweep
+                    value = [
+                        JobResult(job=job, status="error",
+                                  error=value).to_dict()
+                        for job in bundles[index]
+                    ]
                 done.add(index)
-                handle(value)
+                for record in value:
+                    record["retries"] = retry_counts.get(index, 0)
+                    handle(record)
 
         with obs.span("sweep", jobs=len(jobs), workers=workers):
             try:
                 if workers == 1 or not work:
                     # in-process short circuit: no pool, no pickling
-                    for item in work:
-                        handle(_worker(item))
+                    run_inline(bundles)
                 elif pool is not None:
                     dispatch(pool)
                 else:
@@ -656,17 +757,18 @@ def run_sweep(
                 # graceful degradation: a pool that cannot spawn or
                 # keeps losing workers must not abort the sweep — run
                 # what's left in-process
+                remaining = [bundle for index, bundle in enumerate(bundles)
+                             if index not in done]
+                n_remaining = sum(len(bundle) for bundle in remaining)
                 print(
                     f"[sweep] worker pool broken ({exc}); degrading to "
-                    f"in-process execution for "
-                    f"{len(work) - len(done)} remaining jobs",
+                    f"in-process execution for {n_remaining} remaining "
+                    f"jobs",
                     file=sys.stderr,
                 )
                 obs.event("pool.degraded", reason=str(exc),
-                          remaining=len(work) - len(done))
-                for index, item in enumerate(work):
-                    if index not in done:
-                        handle(_worker(item))
+                          remaining=n_remaining)
+                run_inline(remaining)
             except KeyboardInterrupt:
                 interrupted = True
     finally:

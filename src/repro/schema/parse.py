@@ -22,6 +22,7 @@ field and out-of-range value in one pass.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from ..soc.model import AnalogCore, AnalogTest, DigitalCore, Soc
@@ -90,6 +91,13 @@ class ScenarioError(ValueError):
         return "\n".join(diag.render() for diag in self.diagnostics)
 
 
+#: deepest nesting of arrays and objects the anchored readers follow;
+#: a scenario needs about 6 levels, and past this one a document gets a
+#: diagnostic instead of exhausting the interpreter's recursion limit
+MAX_DEPTH = 200
+_TOO_DEEP = f"nesting deeper than {MAX_DEPTH} levels"
+
+
 # ---------------------------------------------------------------------------
 # Position-tracking JSON reader
 
@@ -102,8 +110,10 @@ class _JsonReader:
     ``(line, column)`` pairs.  Object paths anchor at the opening
     brace/bracket, field paths at their key.  Grammar and number/string
     semantics match ``json.loads`` except that duplicate keys and
-    ``NaN``/``Infinity`` are refused.  :func:`parse` runs it only to
-    anchor a failure of the ``json.loads`` path.
+    ``NaN``/``Infinity`` are refused, and so is nesting past
+    :data:`MAX_DEPTH` (the reader recurses once per level).
+    :func:`parse` runs it only to anchor a failure of the
+    ``json.loads`` path.
     """
 
     def __init__(self, text: str, source: str):
@@ -160,9 +170,11 @@ class _JsonReader:
     def _read_value(self, path: tuple):
         self.pos.setdefault(path, (self.line, self.col))
         char = self._peek()
-        if char == "{":
-            return self._read_object(path)
-        if char == "[":
+        if char in "{[":
+            if len(path) >= MAX_DEPTH:
+                raise self.fail(_TOO_DEEP)
+            if char == "{":
+                return self._read_object(path)
             return self._read_array(path)
         if char == '"':
             return self._read_string()
@@ -292,8 +304,20 @@ def _read_yaml(text: str, source: str):
     """Compose YAML into ``(tree, posmap)`` with node-mark positions."""
     import yaml
 
+    loader = yaml.SafeLoader(text)
     try:
-        root = yaml.compose(text, Loader=yaml.SafeLoader)
+        root = loader.get_single_node()
+    except RecursionError:
+        # the composer recurses once per level and gives out, deeper
+        # than MAX_DEPTH, where the interpreter's stack does; anchor
+        # where the scanner stopped
+        mark = loader.get_mark()
+        raise ScenarioError([
+            Diagnostic(
+                path="", message=_TOO_DEEP,
+                line=mark.line + 1, column=mark.column + 1, source=source,
+            )
+        ]) from None
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         raise ScenarioError([
@@ -305,6 +329,8 @@ def _read_yaml(text: str, source: str):
                 source=source,
             )
         ]) from exc
+    finally:
+        loader.dispose()
     if root is None:
         raise ScenarioError([
             Diagnostic(path="", message="empty document", source=source)
@@ -317,6 +343,14 @@ def _read_yaml(text: str, source: str):
         pos.setdefault(
             path, (node.start_mark.line + 1, node.start_mark.column + 1)
         )
+        if isinstance(node, yaml.CollectionNode) and len(path) >= MAX_DEPTH:
+            raise ScenarioError([
+                Diagnostic(
+                    path="", message=_TOO_DEEP,
+                    line=node.start_mark.line + 1,
+                    column=node.start_mark.column + 1, source=source,
+                )
+            ])
         if isinstance(node, yaml.MappingNode):
             record = {}
             for key_node, value_node in node.value:
@@ -438,17 +472,36 @@ class _Shape:
             path, record, key, int, "an integer", False, default
         )
 
+    def _finite(self, path, key, value, default):
+        """*value* as a float, or *default* and a diagnostic when it is
+        not finite (YAML's ``.nan``/``.inf``, JSON's ``1e400``)."""
+        try:
+            number = float(value)
+        except OverflowError:  # an integer past the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+        self.err(
+            path + (key,),
+            f"field {key!r} must be a finite number, got {number}",
+        )
+        return default
+
     def req_num(self, path, record, key):
         value = self._field(
             path, record, key, (int, float), "a number", True, None
         )
-        return None if value is None else float(value)
+        return None if value is None else self._finite(
+            path, key, value, None
+        )
 
     def opt_num(self, path, record, key, default=None):
         value = self._field(
             path, record, key, (int, float), "a number", False, default
         )
-        return value if value is default else float(value)
+        return value if value is default else self._finite(
+            path, key, value, default
+        )
 
     def req_list(self, path, record, key):
         return self._field(path, record, key, list, "an array", True, None)
@@ -557,7 +610,9 @@ def _build_analog(shape: _Shape, path: tuple, record: dict, extensions: list):
                 "position must be an array of two numbers [x, y]",
             )
         else:
-            position = (float(raw[0]), float(raw[1]))
+            x, y = (shape._finite(path, "position", v, None) for v in raw)
+            if x is not None and y is not None:
+                position = (x, y)
     if None in (name, resolution) or tests_raw is None:
         return None
     tests = [

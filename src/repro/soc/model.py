@@ -47,6 +47,11 @@ def _check_non_negative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be non-negative, got {value!r}")
 
 
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AnalogTest:
     """A single specification-based analog test.
@@ -88,6 +93,8 @@ class AnalogTest:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("test name must be non-empty")
+        for name in ("band_low_hz", "band_high_hz", "sample_freq_hz"):
+            _check_finite(name, getattr(self, name))
         _check_non_negative("band_low_hz", self.band_low_hz)
         _check_non_negative("band_high_hz", self.band_high_hz)
         if self.band_high_hz < self.band_low_hz:

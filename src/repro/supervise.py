@@ -140,16 +140,18 @@ def _worker_main(task_queue, result_queue, initializer, initargs,
 class _Task:
     """Parent-side bookkeeping for one submitted task."""
 
-    __slots__ = ("task_id", "fn", "args", "retries", "not_before", "pin")
+    __slots__ = ("task_id", "fn", "args", "retries", "not_before", "pin",
+                 "timeout_s")
 
     def __init__(self, task_id: int, fn: Callable, args: tuple,
-                 pin: int | None = None):
+                 pin: int | None = None, timeout_s: float | None = None):
         self.task_id = task_id
         self.fn = fn
         self.args = args
         self.retries = 0
         self.not_before = 0.0  # monotonic; backoff gate
         self.pin = pin  # slot index this task must run on (run_on_all)
+        self.timeout_s = timeout_s  # wall timeout per attempt (None: none)
 
 
 class _Worker:
@@ -323,7 +325,8 @@ class SupervisedPool:
     # -- execution ----------------------------------------------------
 
     def run_tasks(self, tasks: Sequence[tuple[Callable, tuple]], *,
-                  timeout_s: float | None = None, max_retries: int = 2,
+                  timeout_s: float | Sequence[float | None] | None = None,
+                  max_retries: int = 2,
                   backoff_base_s: float = 0.05, backoff_seed: int = 0,
                   on_retry: Callable[[int, str], None] | None = None,
                   pins: Sequence[int | None] | None = None):
@@ -334,8 +337,9 @@ class SupervisedPool:
         ``max_retries`` — *value* is then the traceback / error text of
         the final attempt.
 
-        :param timeout_s: per-task wall timeout; a worker past it is
-            killed and replaced, the task requeued.
+        :param timeout_s: per-task wall timeout, one for every task or
+            a sequence with one per task (``None`` entries disable it);
+            a worker past it is killed and replaced, the task requeued.
         :param max_retries: attempts beyond the first before a task is
             quarantined.
         :param backoff_seed: seeds the jittered exponential backoff so
@@ -360,8 +364,11 @@ class SupervisedPool:
                 worker.process.terminate()
                 self._respawn(worker, "stale in-flight task")
         rng = random.Random(backoff_seed)
+        if timeout_s is None or isinstance(timeout_s, (int, float)):
+            timeout_s = [timeout_s] * len(tasks)
         pending: list[_Task] = [
-            _Task(i, fn, args, pin=None if pins is None else pins[i])
+            _Task(i, fn, args, pin=None if pins is None else pins[i],
+                  timeout_s=timeout_s[i])
             for i, (fn, args) in enumerate(tasks)
         ]
         outstanding = len(pending)
@@ -401,8 +408,8 @@ class SupervisedPool:
                         yield quarantined
                     continue
                 worker.task = task
-                worker.deadline = (None if timeout_s is None
-                                   else now + timeout_s)
+                worker.deadline = (None if task.timeout_s is None
+                                   else now + task.timeout_s)
                 progressed = True
 
             # collect results
@@ -456,7 +463,8 @@ class SupervisedPool:
                     self._respawn(worker, "job timeout")
                     progressed = True
                     quarantined = fail(
-                        task, f"job exceeded {timeout_s}s wall timeout")
+                        task,
+                        f"job exceeded {task.timeout_s}s wall timeout")
                     if quarantined is not None:
                         outstanding -= 1
                         yield quarantined

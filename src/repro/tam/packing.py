@@ -227,7 +227,9 @@ def pack_with_order(
 
 @dataclass
 class PackStats:
-    """Cumulative hot-path counters of one :class:`PackContext`."""
+    """Cumulative hot-path counters of one :class:`PackContext`, plus
+    the packs a schedule evaluator's shared memo answered instead
+    (``memo_hits``; see :class:`~repro.core.cost.ScheduleEvaluator`)."""
 
     #: partition pack calls served
     packs: int = 0
@@ -241,6 +243,8 @@ class PackStats:
     prefix_placements: int = 0
     #: placements computed the slow way (profile search per option)
     fresh_placements: int = 0
+    #: evaluations answered from a shared pack memo, with no pack
+    memo_hits: int = 0
 
     def to_dict(self) -> dict:
         """Plain-dict form (JSON-ready)."""
@@ -251,6 +255,7 @@ class PackStats:
             "lb_stops": self.lb_stops,
             "prefix_placements": self.prefix_placements,
             "fresh_placements": self.fresh_placements,
+            "memo_hits": self.memo_hits,
         }
 
     @classmethod

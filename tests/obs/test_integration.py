@@ -41,6 +41,19 @@ class TestSweepTelemetry:
             (run_dir / obs.METRICS_FILE).read_text()
         ) == merged.to_dict()
 
+    def test_bundle_memo_answers_are_published_like_packs(self, run_dir):
+        jobs = expand_grid(["minip"], [8], wts=(0.3, 0.7), effort="quick")
+        sweep = run_sweep(jobs, workers=1)
+        obs.flush()
+        merged = obs.aggregate(run_dir)
+        totals = sweep.pack_stats()
+        assert totals.memo_hits > 0
+        assert merged.counters["pack.memo_hits"] == totals.memo_hits
+        assert merged.counters["pack.packs"] == totals.packs
+        # the paper's n counts both
+        assert merged.counters["eval.packs"] \
+            == totals.packs + totals.memo_hits
+
     def test_job_results_carry_mergeable_pack_stats(self, run_dir,
                                                     tmp_path):
         """Satellite: per-job PackStats ride home on JobResult and

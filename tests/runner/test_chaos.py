@@ -140,10 +140,11 @@ class TestResume:
         first = run_sweep(jobs, workers=1, out_path=out)
         assert not first.errors
 
-        def boom(args):
+        def boom(*args):
             raise AssertionError("resume must not re-run finished jobs")
 
-        monkeypatch.setattr(engine, "_worker", boom)
+        # every bundle, inline or on a pool, runs through _run_bundle
+        monkeypatch.setattr(engine, "_run_bundle", boom)
         resumed = run_sweep(jobs, workers=1, out_path=None,
                             resume_from=out)
         assert costs(resumed) == costs(first)

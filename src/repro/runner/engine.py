@@ -23,9 +23,10 @@ path but returns the whole search outcome and takes a checkpoint; it
 is what ``repro serve`` runs for ``optimize`` jobs, and it reads no
 cache.
 
-Jobs that differ only in ``wt``, ``delta`` or ``exhaustive`` pack the
-same schedules, so :func:`run_sweep` runs them as one *bundle* whose
-pack memo is dropped when the bundle ends, never kept process-wide.
+Paper-flow jobs that differ only in ``wt``, ``delta`` or
+``exhaustive`` pack the same schedules, so :func:`run_sweep` runs them
+as one *bundle* whose pack memo is dropped when the bundle ends, never
+kept process-wide.
 
 Results stream back to the parent as they complete (on a pool, one
 bundle at a time) and are appended to a JSON-lines file immediately,
@@ -372,19 +373,25 @@ def _publish_job_obs(
     st.flush()
 
 
-#: the job fields a bundle shares: all but ``wt``, ``delta`` and
-#: ``exhaustive``.  Eq. (2) weighs C_T against C_A after packing, so
-#: ``wt`` never reaches a schedule, and the paper and exhaustive flows
-#: pack from one space.  The strategy fields stay in, so a strategy
-#: race keeps one task per strategy.
+#: the job fields a paper-flow bundle shares: all but ``wt``, ``delta``
+#: and ``exhaustive``.  Eq. (2) weighs C_T against C_A after packing,
+#: so ``wt`` never reaches a schedule, and the paper and exhaustive
+#: flows pack from one space.
 _BUNDLE_FIELDS = tuple(
     field.name for field in dataclass_fields(SweepJob)
     if field.name not in ("wt", "delta", "exhaustive")
 )
 
 
-def _bundle_key(job: SweepJob) -> tuple:
-    """What a job's schedules depend on (see :data:`_BUNDLE_FIELDS`)."""
+def _bundle_key(job: SweepJob) -> SweepJob | tuple:
+    """What a job's schedules depend on (see :data:`_BUNDLE_FIELDS`).
+
+    A search job is its own key: its trajectory follows ``wt``, so how
+    much of it another job's memo would answer is unmeasured, and each
+    one keeps its own task.
+    """
+    if job.strategy:
+        return job
     return tuple(getattr(job, name) for name in _BUNDLE_FIELDS)
 
 
@@ -416,11 +423,14 @@ def _run_bundle(
 ) -> Iterator[dict]:
     """Evaluate one bundle's jobs in order, yielding one record each.
 
-    The jobs share one pack memo, dropped when the bundle ends; each
-    still goes through :func:`evaluate_job` on its own, with its own
-    fault-harness hit and its own error record.
+    The jobs share one pack memo, dropped when the bundle ends (a
+    one-job bundle gets none: its evaluator's own cache answers every
+    repeat); each still goes through :func:`evaluate_job` on its own,
+    with its own fault-harness hit and its own error record.
     """
-    pack_memo: dict[Partition, Schedule] = {}
+    pack_memo: dict[Partition, Schedule] | None = (
+        {} if len(jobs) > 1 else None
+    )
     for job in jobs:
         # fault-harness site: *outside* the per-job trap, so an
         # injected crash/hang/flaky fault reaches the supervisor (and
@@ -625,14 +635,15 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate *jobs*, optionally in parallel, streaming JSONL results.
 
-    Jobs that share a schedule space — equal but for ``wt``, ``delta``
-    and ``exhaustive`` — run as one *bundle*: one pool task, or one
-    inline loop, whose jobs share a pack memo, so each distinct
-    schedule is packed once per bundle (``pack_stats`` counts the rest
-    as ``memo_hits``; every other result field is unchanged).  While
-    there would be fewer bundles than workers, the largest splits in
-    two.  Each job still runs through :func:`evaluate_job` and gets its
-    own record, progress call and fault-harness hit.
+    Paper-flow jobs that share a schedule space — equal but for
+    ``wt``, ``delta`` and ``exhaustive`` — run as one *bundle*: one
+    pool task, or one inline loop, whose jobs share a pack memo, so
+    each distinct schedule is packed once per bundle (``pack_stats``
+    counts the rest as ``memo_hits``; every other result field is
+    unchanged).  A search job (``strategy`` set) is a bundle of its
+    own.  While there would be fewer bundles than workers, the largest
+    splits in two.  Each job still runs through :func:`evaluate_job`
+    and gets its own record, progress call and fault-harness hit.
 
     :param jobs: the evaluation grid (see
         :func:`repro.runner.jobs.expand_grid`).
@@ -667,10 +678,13 @@ def run_sweep(
         worker past that is killed and replaced, the bundle requeued
         (``None`` disables; ignored inline, where nothing can kill a
         hung job).
-    :param max_retries: retries per bundle (crash, hang, transient
-        dispatch error) before its jobs are quarantined into
-        :attr:`SweepResult.errors` with its traceback; every job of a
-        retried bundle carries the bundle's retry count.
+    :param max_retries: retries per task (crash, hang, transient
+        dispatch error); every job of a retried bundle carries the
+        bundle's retry count.  A bundle of several jobs past its
+        retries runs again one job per task, with the plain
+        *timeout_s*, so only a job that still fails alone is
+        quarantined into :attr:`SweepResult.errors` with its
+        traceback.
     :param resume_from: a previous run's ``--out`` JSONL (or its
         directory): jobs already completed there are reused instead of
         re-run — the checkpoint/resume path for interrupted sweeps
@@ -707,7 +721,9 @@ def run_sweep(
                 handle(record)
 
         work = [job for job in jobs if job not in resumed]
-        bundles = _bundles(work, workers)
+        # (bundle, retries its jobs already consumed) in dispatch order;
+        # a quarantined bundle's jobs come back at the end one per entry
+        queue = [(bundle, 0) for bundle in _bundles(work, workers)]
         done: set[int] = set()
 
         def run_inline(pending: list[list[SweepJob]]) -> None:
@@ -715,39 +731,49 @@ def run_sweep(
                 for record in _run_bundle(bundle, cache_dir, trace_dir):
                     handle(record)
 
-        retry_counts: dict[int, int] = {}
-
         def dispatch(active: SupervisedPool) -> None:
-            def tally(index: int, reason: str) -> None:
-                retry_counts[index] = retry_counts.get(index, 0) + 1
+            start = 0
+            while start < len(queue):
+                batch = queue[start:]
+                retry_counts: dict[int, int] = {}
 
-            for index, ok, value in active.run_tasks(
-                [(_worker, ((bundle, cache_dir, trace_dir),))
-                 for bundle in bundles],
-                timeout_s=None if timeout_s is None else [
-                    timeout_s * len(bundle) for bundle in bundles
-                ],
-                max_retries=max_retries, on_retry=tally,
-            ):
-                if not ok:
-                    # quarantined after max_retries: the bundle's jobs
-                    # land in SweepResult.errors with its traceback
-                    # instead of sinking the sweep
-                    value = [
-                        JobResult(job=job, status="error",
-                                  error=value).to_dict()
-                        for job in bundles[index]
-                    ]
-                done.add(index)
-                for record in value:
-                    record["retries"] = retry_counts.get(index, 0)
-                    handle(record)
+                def tally(index: int, reason: str) -> None:
+                    retry_counts[index] = retry_counts.get(index, 0) + 1
+
+                for index, ok, value in active.run_tasks(
+                    [(_worker, ((bundle, cache_dir, trace_dir),))
+                     for bundle, _ in batch],
+                    timeout_s=None if timeout_s is None else [
+                        timeout_s * len(bundle) for bundle, _ in batch
+                    ],
+                    max_retries=max_retries, on_retry=tally,
+                ):
+                    done.add(start + index)
+                    bundle, carried = batch[index]
+                    retries = carried + retry_counts.get(index, 0)
+                    if not ok and len(bundle) > 1:
+                        # a bundle that keeps killing its worker (or
+                        # timing out) runs again one job per task, the
+                        # final failure counted as one more retry, so
+                        # only a poison job ends up quarantined
+                        queue.extend(([job], retries + 1) for job in bundle)
+                        continue
+                    if not ok:
+                        # quarantined after max_retries: the job lands
+                        # in SweepResult.errors with its traceback
+                        # instead of sinking the sweep
+                        value = [JobResult(job=bundle[0], status="error",
+                                           error=value).to_dict()]
+                    for record in value:
+                        record["retries"] = retries
+                        handle(record)
+                start += len(batch)
 
         with obs.span("sweep", jobs=len(jobs), workers=workers):
             try:
                 if workers == 1 or not work:
                     # in-process short circuit: no pool, no pickling
-                    run_inline(bundles)
+                    run_inline([bundle for bundle, _ in queue])
                 elif pool is not None:
                     dispatch(pool)
                 else:
@@ -757,7 +783,7 @@ def run_sweep(
                 # graceful degradation: a pool that cannot spawn or
                 # keeps losing workers must not abort the sweep — run
                 # what's left in-process
-                remaining = [bundle for index, bundle in enumerate(bundles)
+                remaining = [bundle for index, (bundle, _) in enumerate(queue)
                              if index not in done]
                 n_remaining = sum(len(bundle) for bundle in remaining)
                 print(

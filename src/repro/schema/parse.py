@@ -8,9 +8,11 @@ Positions matter only to a diagnostic, so on *any* failure the text is
 re-read by this module's small recursive-descent reader, which records
 the line/column of every mapping key and sequence element it visits,
 and the document is shaped again from that anchored tree: every error
-and diagnostic is exactly the anchored reader's.  YAML input reuses
-PyYAML's composer (node marks are free) when the optional dependency
-is importable; the core path stays stdlib-only.
+and diagnostic is exactly the anchored reader's, except where a
+document ``json.loads`` read nests deeper than that reader follows
+(:data:`MAX_DEPTH`): its shape diagnostics then stand unanchored.
+YAML input reuses PyYAML's composer (node marks are free) when the
+optional dependency is importable; the core path stays stdlib-only.
 
 Errors never stop at the first problem: the shape checker collects
 :class:`Diagnostic` records — each anchored to a source line/column and
@@ -287,16 +289,26 @@ def _refuse_constant(name: str):
 
 def _parse_json(text: str, source: str) -> ScenarioDoc:
     """Read and shape a JSON scenario; anchor only on a failure."""
+    shape_error = None
     try:
         tree = json.loads(text, object_pairs_hook=_unique_pairs,
                           parse_constant=_refuse_constant)
         return _build_doc(tree, {}, source)
+    except ScenarioError as exc:
+        shape_error = exc
     except Exception:
-        # any failure, a diagnostic included, is re-derived below: the
-        # anchored path raises what it raises for this text, with
-        # line/column positions
+        # any other failure is re-derived below: the anchored path
+        # raises what it raises for this text, with line/column
+        # positions
         pass
-    tree, pos = _JsonReader(text, source).read_document()
+    try:
+        tree, pos = _JsonReader(text, source).read_document()
+    except ScenarioError as exc:
+        if shape_error is None or exc.diagnostics[0].message != _TOO_DEEP:
+            raise
+        # json.loads read deeper than the anchored reader follows: its
+        # own diagnostics, unanchored, still name the real problem
+        raise shape_error from None
     return _build_doc(tree, pos, source)
 
 

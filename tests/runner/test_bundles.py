@@ -1,13 +1,14 @@
 """Sweep bundles: jobs that share a schedule space run together.
 
-``run_sweep`` groups jobs that differ only in ``wt``, ``delta`` and
-``exhaustive`` into one bundle with one pack memo.  These tests pin
-that bundling changes no stable result field, keeps every per-job
-behaviour (fault hits, error records, retries, deadlines), and packs
-each distinct schedule once.
+``run_sweep`` groups paper-flow jobs that differ only in ``wt``,
+``delta`` and ``exhaustive`` into one bundle with one pack memo.  These
+tests pin that bundling changes no stable result field, keeps every
+per-job behaviour (fault hits, error records, retries, deadlines, a
+poison job failing alone), and packs each distinct schedule once.
 """
 
 import multiprocessing
+import os
 import time
 
 import pytest
@@ -65,10 +66,14 @@ class TestBundling:
                 (0.3, False), (0.7, False), (0.3, True), (0.7, True)
             }
 
-    def test_strategy_fields_stay_in_the_key(self):
+    def test_search_jobs_run_alone(self):
         jobs = expand_grid(["minip"], [8], wts=(0.3, 0.7), effort="quick",
                            strategies=("anneal", "greedy"), budget=5)
-        assert len(engine._bundles(jobs, workers=1)) == 2
+        assert engine._bundles(jobs, workers=1) == [[job] for job in jobs]
+        # 3 cells x 2 w_T on 2 workers: 6 balanced tasks, not 3 of 2
+        jobs = expand_grid(["minip"], [8, 16, 24], wts=(0.3, 0.7),
+                           effort="quick", strategies=("anneal",), budget=5)
+        assert len(engine._bundles(jobs, workers=2)) == 6
 
     def test_largest_bundles_split_until_every_worker_has_one(self):
         jobs = cell_grid(["minip"], [8, 16])  # 2 bundles of 4
@@ -168,6 +173,60 @@ class TestPerJobBehaviour:
         # the killed worker's bundle ran again: all four of its jobs
         # carry the retry, the other bundle's none
         assert sorted(r.retries for r in sweep.results) == [0] * 4 + [1] * 4
+
+    @pytest.mark.skipif(not FORK, reason="needs fork")
+    def test_a_poison_job_inside_a_bundle_is_quarantined_alone(
+            self, monkeypatch):
+        jobs = cell_grid(["minip"], [8, 16])  # 2 bundles of 4
+        expected = reference(jobs)
+        poison = jobs[1]
+        real = engine.evaluate_job
+
+        def deadly(job, *args):
+            if job == poison:  # kills its worker on every attempt
+                os._exit(13)
+            return real(job, *args)
+
+        monkeypatch.setattr(engine, "evaluate_job", deadly)
+        sweep = run_sweep(jobs, workers=2, max_retries=1)
+        assert [r.job for r in sweep.errors] == [poison]
+        assert "worker died" in sweep.errors[0].error
+        assert {r.job: stable(r) for r in sweep.ok} == {
+            job: fields for job, fields in expected.items() if job != poison
+        }
+        # the bundle's 2 attempts, then each job alone: its healthy
+        # jobs count the bundle's retry and the final failure, the
+        # poison job its own retry on top
+        retries = {r.job: r.retries for r in sweep.results}
+        assert retries[poison] == 3
+        assert sorted(retries[job] for job in jobs if job != poison) == (
+            [0] * 4 + [2] * 3
+        )
+
+    @pytest.mark.skipif(not FORK, reason="needs fork")
+    def test_a_hanging_job_inside_a_bundle_is_quarantined_alone(
+            self, monkeypatch):
+        jobs = cell_grid(["minip"], [8, 16])  # 2 bundles of 4
+        expected = reference(jobs)
+        poison = jobs[2]
+        real = engine.evaluate_job
+
+        def stuck(job, *args):
+            if job == poison:  # hangs on every attempt
+                time.sleep(60)
+            return real(job, *args)
+
+        monkeypatch.setattr(engine, "evaluate_job", stuck)
+        started = time.monotonic()
+        sweep = run_sweep(jobs, workers=2, timeout_s=1.0, max_retries=0)
+        elapsed = time.monotonic() - started
+        assert [r.job for r in sweep.errors] == [poison]
+        assert "wall timeout" in sweep.errors[0].error
+        assert {r.job: stable(r) for r in sweep.ok} == {
+            job: fields for job, fields in expected.items() if job != poison
+        }
+        # 4 s for the bundle, then 1 s for the poison job alone
+        assert 5.0 <= elapsed < 30
 
     @pytest.mark.skipif(not FORK, reason="needs fork")
     def test_hang_inside_a_bundle_is_killed_at_its_scaled_deadline(

@@ -13,8 +13,6 @@ Usage::
     python -m repro workloads           # list registered scenarios
     python -m repro strategies          # list anytime search strategies
     python -m repro generate --seed 7   # emit a synthetic .soc file
-    python -m repro --workload big12m profile \\
-        --evals 40 --baseline           # hot-path throughput microbench
     python -m repro --workload big12m optimize \\
         --strategy anneal --budget 200  # budgeted anytime search
     python -m repro sweep --preset p93791m,d695m --widths 16,24,32 \\
@@ -34,14 +32,19 @@ SOC-dependent ones (``table1``-``table4``, ``plan``, ``report``,
 SOCs, so the flag does not affect them).  ``sweep`` fans a (workload x
 width x weight) grid across worker processes with an on-disk result
 cache, streaming JSONL; its ``--strategy`` axis races anytime
-optimizers (``optimize`` runs a single one and writes its
-best-cost-vs-evaluations trace).  The global ``--obs-dir`` flag turns
-on :mod:`repro.obs` telemetry for any run — manifest, merged metrics,
-lane traces — which ``report --run DIR`` renders and ``watch RUNDIR``
-tails live.  The global ``--obs-root`` flag points at a persistent
-run ledger: finished runs fold into it at exit and the ``runs``
-subcommands (``list``/``show``/``compare``/``diff``/``regress``/
-``gc``/``fold``) query it.
+optimizers.  ``optimize`` runs the job a served ``optimize``
+submission of the same parameters runs (one
+:func:`repro.runner.engine.search_job` per strategy, raced strategies
+sharing one pack memo) under the served checkpoint fingerprint, and
+writes its best-cost-vs-evaluations trace.  The table/figure drivers
+(:mod:`repro.experiments`) load only in the commands that print them.
+The global ``--obs-dir`` flag turns on :mod:`repro.obs`
+telemetry for any run — manifest, merged metrics, lane traces — which
+``report --run DIR`` renders and ``watch RUNDIR`` tails live.  The
+global ``--obs-root`` flag points at a persistent run ledger: finished
+runs fold into it at exit and the ``runs`` subcommands
+(``list``/``show``/``compare``/``diff``/``regress``/``gc``/``fold``)
+query it.
 """
 
 from __future__ import annotations
@@ -53,15 +56,6 @@ import time
 
 from . import CostWeights, format_partition, plan_test, render_gantt, \
     workloads
-from .experiments import (
-    ExperimentContext,
-    run_fig4,
-    run_fig5,
-    run_table1,
-    run_table2,
-    run_table3,
-    run_table4,
-)
 
 __all__ = ["main", "build_parser"]
 
@@ -281,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     po.add_argument(
         "--strategy", default="anneal",
-        help="registered strategy name, or 'all' to race every one on "
-             "a shared evaluation cache (default: anneal)",
+        help="registered strategy name, or 'all' to race every one, "
+             "packing each partition once (default: anneal)",
     )
     po.add_argument(
         "--budget", type=int, default=200,
@@ -354,44 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # --seed after the subcommand, same SUPPRESS dance as generate
     po.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                    help="workload seed")
-
-    pb = sub.add_parser(
-        "profile",
-        help="hot-path microbenchmark: evaluation and packing "
-             "throughput of the schedule evaluator on one workload",
-    )
-    pb.add_argument("--width", type=int, default=32)
-    pb.add_argument(
-        "--evals", type=int, default=40,
-        help="distinct sharing partitions to evaluate (default: 40)",
-    )
-    pb.add_argument(
-        "--budget", type=int, default=0,
-        help="additionally run a gated anneal search with this "
-             "evaluation budget and report the gate skip rate",
-    )
-    pb.add_argument(
-        "--workers", type=int, default=1,
-        help="additionally run a portfolio scaling report: the same "
-             "lane set at 1..N workers with wall-clock speedups "
-             "(default: 1 = skip)",
-    )
-    pb.add_argument(
-        "--baseline", action="store_true",
-        help="also time the retained seed engine for a speedup ratio",
-    )
-    pb.add_argument(
-        "--pack-effort", choices=("fast", "paper", "thorough"),
-        default=None,
-        help="packer throughput tier (see 'optimize --pack-effort')",
-    )
-    pb.add_argument(
-        "--power-budget", type=int, default=None,
-        help="SOC instantaneous power ceiling (overrides the "
-             "workload's own)",
-    )
-    pb.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                     help="workload seed")
 
     pg = sub.add_parser(
@@ -974,51 +930,65 @@ def _resolve_strategies(tokens: list[str] | None) -> tuple[str, ...]:
     return names
 
 
-def _run_optimize(args: argparse.Namespace) -> str:
-    from .core.area import AreaModel
-    from .core.cost import CostModel, ScheduleEvaluator
-    from .core.sharing import bell_number
-    from .experiments.common import PACK_EFFORT
+def _write_trace(path: str, records: list[dict]) -> list[str]:
+    """Write the anytime trace to *path* ('' = off); returns the
+    summary line it earns."""
     from .reporting import write_jsonl
-    from .search import optimize
 
+    if not path:
+        return []
+    try:
+        write_jsonl(records, path)
+    except OSError as exc:
+        raise _CliError(f"cannot write trace to {path!r}: {exc}") from None
+    return [f"anytime trace ({len(records)} records) -> {path}"]
+
+
+def _search_header(soc, job, seconds: float | None, scope: str = "") -> str:
+    """The first line of an ``optimize`` report."""
+    from .core.sharing import bell_number
+
+    return (
+        f"SOC {soc.name}: {soc.n_analog} analog cores, "
+        f"{bell_number(soc.n_analog)} sharing partitions; TAM width "
+        f"{job.width}, w_T={job.wt:g}, {scope}budget {job.budget} "
+        f"evaluations" + (f" / {seconds:g}s" if seconds else "")
+    )
+
+
+def _run_optimize(args: argparse.Namespace) -> str:
+    """``repro optimize``: each strategy runs the optimize job a served
+    submission of the same parameters would run."""
+    from .runner.engine import job_model, search_job
+    from .search import SearchCheckpoint, default_lanes
+    from .server.protocol import JobSpec
+
+    params = {
+        "workload": args.workload, "width": args.width, "wt": args.wt,
+        "budget": args.budget, "seed": args.seed,
+        "search_seed": args.search_seed,
+        "power_budget": args.power_budget,
+        "effort": args.pack_effort or args.effort,
+    }
     if args.smoke:
         if args.scenario is not None:
             raise _CliError("--scenario and --smoke are mutually exclusive")
-        workload, width, effort = "mini", 8, "quick"
-        budget = min(args.budget, 50)
-    else:
-        workload, width, effort = args.workload, args.width, args.effort
-        budget = args.budget
-    scenario_doc = None
-    scenario_key = None
-    if args.scenario is not None:
-        import hashlib
-
+        params.update(workload="mini", width=8, budget=min(args.budget, 50),
+                      effort=args.pack_effort or "quick")
+    elif args.scenario is not None:
         from . import schema
 
-        scenario_doc = _load_scenario_doc(args.scenario)
-        workload = scenario_doc.name
-        scenario_key = hashlib.sha256(
-            schema.generate(scenario_doc).encode("utf-8")
-        ).hexdigest()[:16]
-    if budget < 1:
-        raise _CliError(f"--budget must be >= 1, got {budget}")
+        # the document names the job and fixes its SOC (no seed)
+        doc = _load_scenario_doc(args.scenario)
+        params.update(workload=doc.name, seed=None,
+                      scenario=schema.generate(doc))
+    if params["budget"] < 1:
+        raise _CliError(f"--budget must be >= 1, got {params['budget']}")
     if args.seconds is not None and args.seconds <= 0:
         raise _CliError(
             f"--seconds must be positive, got {args.seconds:g}"
         )
     names = _resolve_strategies([args.strategy])
-    try:
-        weights = CostWeights(time=args.wt, area=1.0 - args.wt)
-        soc = (scenario_doc.build() if scenario_doc is not None
-               else workloads.build(workload, args.seed))
-        if args.power_budget is not None:
-            soc = soc.with_power_budget(args.power_budget)
-    except (KeyError, ValueError) as exc:
-        raise _CliError(exc.args[0] if exc.args else exc) from None
-
-    pack_kwargs = PACK_EFFORT[args.pack_effort or effort]
     if args.workers < 1:
         raise _CliError(f"--workers must be >= 1, got {args.workers}")
     if args.portfolio < 0:
@@ -1028,10 +998,7 @@ def _run_optimize(args: argparse.Namespace) -> str:
     n_lanes = args.portfolio
     if n_lanes == 0 and args.workers > 1:
         n_lanes = max(args.workers, 4)
-    checkpoint = None
     if args.checkpoint:
-        from .search import SearchCheckpoint, run_fingerprint
-
         if args.checkpoint_every < 1:
             raise _CliError(
                 f"--checkpoint-every must be >= 1, got "
@@ -1049,97 +1016,70 @@ def _run_optimize(args: argparse.Namespace) -> str:
                 "snapshot stores one run's trajectory); pick one, or "
                 "use --portfolio with --workers 1"
             )
-        fingerprint = run_fingerprint({
-            "workload": workload, "width": width, "wt": args.wt,
-            "budget": budget, "seconds": args.seconds,
-            "strategies": list(names), "seed": args.seed,
-            "search_seed": args.search_seed,
-            "pack_effort": args.pack_effort or effort,
-            "lanes": n_lanes,
-            "power_budget": args.power_budget,
-            "scenario": scenario_key,
-        })
+    try:
+        specs = [JobSpec.create("optimize", {**params, "strategy": name})
+                 for name in names]
+    except ValueError as exc:
+        raise _CliError(exc.args[0] if exc.args else exc) from None
+    jobs = [spec.to_sweep_job() for spec in specs]
+    lanes = (default_lanes(n_lanes, names, base_seed=args.search_seed)
+             if n_lanes else ())
+    checkpoint = None
+    if args.checkpoint:
+        # the served job's fingerprint: either path resumes the other's
+        # snapshot of the same spec
+        extra = {"lanes": [lane.label for lane in lanes]} if lanes else {}
         checkpoint = SearchCheckpoint(
             args.checkpoint, every=args.checkpoint_every,
-            fingerprint=fingerprint,
+            fingerprint=specs[0].checkpoint_fingerprint(**extra),
         )
     _obs_manifest("optimize", {
-        "workload": workload, "width": width, "wt": args.wt,
-        "budget": budget, "seconds": args.seconds,
-        "strategies": list(names), "seed": args.seed,
-        "search_seed": args.search_seed,
-        "pack_effort": args.pack_effort or effort,
-        "lanes": n_lanes, "workers": args.workers,
-        "power_budget": args.power_budget,
-        "scenario": scenario_key,
+        **specs[0].params, "strategy": ",".join(names),
+        "seconds": args.seconds, "lanes": n_lanes, "workers": args.workers,
     }, engine="fast")
-    if n_lanes:
-        return _run_portfolio(
-            args, workload, width, budget, names, soc, pack_kwargs,
-            n_lanes, checkpoint=checkpoint,
-        )
-    # one shared evaluator: racing strategies reuse each other's packs
-    evaluator = ScheduleEvaluator(soc, width, **pack_kwargs)
-    model = CostModel(
-        soc, width, weights, AreaModel(soc.analog_cores),
-        evaluator=evaluator,
-    )
-    progress_every = 25
-
-    def progress(count: int) -> None:
-        if count % progress_every == 0:
-            print(f"  ... {count} TAM packing runs", file=sys.stderr)
-
-    evaluator.on_evaluation = progress
-
-    space = bell_number(soc.n_analog)
-    lines = [
-        f"SOC {soc.name}: {soc.n_analog} analog cores, "
-        f"{space} sharing partitions; TAM width {width}, "
-        f"w_T={args.wt:g}, budget {budget} evaluations"
-        + (f" / {args.seconds:g}s" if args.seconds else ""),
-    ]
+    if lanes:
+        return _run_portfolio(args, jobs[0], lanes, checkpoint)
+    # racing strategies share packs through one memo, not one
+    # evaluator, so each search sees the costs it would see alone
+    pack_memo: dict = {}
     outcomes = []
-    for name in names:
+    for job in jobs:
         try:
-            outcome = optimize(
-                soc, strategy=name, max_evaluations=budget,
-                max_seconds=args.seconds, seed=args.search_seed,
-                model=model, checkpoint=checkpoint,
-            )
+            outcomes.append(search_job(
+                job, checkpoint=checkpoint, max_seconds=args.seconds,
+                pack_memo=pack_memo,
+            ))
         except ValueError as exc:
             # e.g. a wall-clock budget that expired before the first
             # evaluation, or a checkpoint written by a different run
             # configuration — user input, not an internal failure
             raise _CliError(exc.args[0] if exc.args else exc) from None
-        outcomes.append(outcome)
-        lines.append(outcome.summary())
-    best = min(outcomes, key=lambda o: (o.best_cost, o.best_partition))
+    best_job, best = min(
+        zip(jobs, outcomes),
+        key=lambda pair: (pair[1].best_cost, pair[1].best_partition),
+    )
+    model = job_model(best_job, pack_memo)
     breakdown = model.breakdown(best.best_partition)
-    lines += [
+    records = [
+        record for job, outcome in zip(jobs, outcomes)
+        for record in outcome.trace_records(
+            workload=job.workload, width=job.width, wt=job.wt,
+            budget=job.budget,
+        )
+    ]
+    lines = [
+        _search_header(model.soc, best_job, args.seconds),
+        *(outcome.summary() for outcome in outcomes),
         "",
         f"best overall: {best.strategy} -> "
         f"{format_partition(best.best_partition)} "
         f"(cost {best.best_cost:.2f}, C_T {breakdown.time_cost:.1f}, "
         f"C_A {breakdown.area_cost:.1f}, makespan {breakdown.makespan})",
-        f"{evaluator.evaluations} TAM packing runs total across "
+        # the memo holds one entry per pack actually run
+        f"{len(pack_memo)} TAM packing runs total across "
         f"{len(outcomes)} strategies",
+        *_write_trace(args.trace, records),
     ]
-    evaluator.publish_obs()
-    records = []
-    for outcome in outcomes:
-        records.extend(outcome.trace_records(
-            workload=workload, width=width, wt=args.wt, budget=budget,
-        ))
-    if args.trace:
-        try:
-            write_jsonl(records, args.trace)
-        except OSError as exc:
-            raise _CliError(
-                f"cannot write trace to {args.trace!r}: {exc}"
-            ) from None
-        lines.append(f"anytime trace ({len(records)} records) -> "
-                     f"{args.trace}")
     # one synthetic "lane" per raced strategy, so report --run renders
     # the same table for inline and portfolio runs
     _obs_artifacts(trace_records=records, lane_records=[
@@ -1148,54 +1088,34 @@ def _run_optimize(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _run_portfolio(
-    args: argparse.Namespace,
-    workload: str,
-    width: int,
-    budget: int,
-    names: tuple[str, ...],
-    soc,
-    pack_kwargs: dict,
-    n_lanes: int,
-    checkpoint=None,
-) -> str:
-    """The ``optimize --portfolio/--workers`` parallel path."""
-    from .core.sharing import bell_number
-    from .reporting import write_jsonl
-    from .search import (
-        PortfolioInterrupted,
-        default_lanes,
-        portfolio_search,
-    )
+def _run_portfolio(args: argparse.Namespace, job, lanes, checkpoint) -> str:
+    """The ``optimize --portfolio/--workers`` parallel path: *lanes*
+    race *job*'s search under one global budget."""
+    from .runner.engine import job_soc
+    from .search import PortfolioInterrupted, portfolio_search
 
-    lanes = default_lanes(n_lanes, names, base_seed=args.search_seed)
-    space = bell_number(soc.n_analog)
-    header = (
-        f"SOC {soc.name}: {soc.n_analog} analog cores, "
-        f"{space} sharing partitions; TAM width {width}, "
-        f"w_T={args.wt:g}, global budget {budget} evaluations"
-        + (f" / {args.seconds:g}s" if args.seconds else "")
+    soc = job_soc(job)
+    header = _search_header(soc, job, args.seconds, scope="global ") \
         + f"; {len(lanes)} lanes"
-    )
     try:
         outcome = portfolio_search(
             soc,
-            width=width,
+            width=job.width,
             lanes=lanes,
             workers=args.workers,
-            budget=budget,
+            budget=job.budget,
             max_seconds=args.seconds,
-            wt=args.wt,
+            wt=job.wt,
             checkpoint=checkpoint,
-            **pack_kwargs,
+            **job.pack_kwargs,
         )
     except PortfolioInterrupted as exc:
         # surface whatever the in-process lanes had achieved, then let
         # main() report the interrupt (exit code 130)
         if exc.outcome is not None:
             records = exc.outcome.trace_records(
-                workload=workload, width=width, wt=args.wt,
-                budget=budget,
+                workload=job.workload, width=job.width, wt=job.wt,
+                budget=job.budget,
             )
             _obs_artifacts(
                 trace_records=records,
@@ -1208,146 +1128,16 @@ def _run_portfolio(
         raise
     except ValueError as exc:
         raise _CliError(exc.args[0] if exc.args else exc) from None
-    lines = [header, outcome.summary()]
     records = outcome.trace_records(
-        workload=workload, width=width, wt=args.wt, budget=budget,
+        workload=job.workload, width=job.width, wt=job.wt,
+        budget=job.budget,
     )
-    if args.trace:
-        try:
-            write_jsonl(records, args.trace)
-        except OSError as exc:
-            raise _CliError(
-                f"cannot write trace to {args.trace!r}: {exc}"
-            ) from None
-        lines.append(f"anytime trace ({len(records)} records) -> "
-                     f"{args.trace}")
     _obs_artifacts(
         trace_records=records, lane_records=outcome.lane_records()
     )
-    return "\n".join(lines)
-
-
-def _run_profile(args: argparse.Namespace) -> str:
-    """Hot-path microbenchmark of the schedule evaluator."""
-    import time as _time
-
-    from .core.area import AreaModel
-    from .core.cost import CostModel, ScheduleEvaluator
-    from .core.sharing import representative_partitions
-    from .experiments.common import PACK_EFFORT
-    from .search import optimize
-
-    if args.evals < 1:
-        raise _CliError(f"--evals must be >= 1, got {args.evals}")
-    if args.workers < 1:
-        raise _CliError(f"--workers must be >= 1, got {args.workers}")
-    try:
-        soc = workloads.build(args.workload, args.seed)
-        if args.power_budget is not None:
-            soc = soc.with_power_budget(args.power_budget)
-    except (KeyError, ValueError) as exc:
-        raise _CliError(exc.args[0] if exc.args else exc) from None
-    if not soc.analog_cores:
-        raise _CliError(f"workload {args.workload!r} has no analog cores")
-    pack_kwargs = PACK_EFFORT[args.pack_effort or args.effort]
-    partitions = representative_partitions(soc.analog_cores, args.evals)
-    n = len(partitions)
-
-    def throughput(engine: str) -> tuple[float, "ScheduleEvaluator"]:
-        evaluator = ScheduleEvaluator(
-            soc, args.width, engine=engine, **pack_kwargs
-        )
-        started = _time.perf_counter()
-        for partition in partitions:
-            evaluator.schedule(partition)
-        return _time.perf_counter() - started, evaluator
-
-    elapsed, evaluator = throughput("fast")
-    lines = [
-        f"SOC {soc.name}: {soc.n_digital} digital + {soc.n_analog} analog "
-        f"cores; TAM width {args.width}, pack "
-        f"{args.pack_effort or args.effort} "
-        f"(shuffles={pack_kwargs['shuffles']}, "
-        f"passes={pack_kwargs['improvement_passes']})",
-        f"fast engine:  {n / elapsed:8.1f} evals/s "
-        f"({evaluator.evaluations} packs in {elapsed:.3f}s)",
-    ]
-    evaluator.publish_obs()
-    stats = evaluator.pack_stats
-    if stats is not None and stats.orders_tried:
-        placements = stats.prefix_placements + stats.fresh_placements
-        lines.append(
-            f"  order trials: {stats.orders_tried} started, "
-            f"{stats.orders_pruned} pruned by the incumbent, "
-            f"{stats.lb_stops} loops stopped at the lower bound; "
-            f"{stats.prefix_placements}/{placements} placements "
-            f"replayed from cached prefixes"
-        )
-    if args.baseline:
-        ref_elapsed, _ = throughput("reference")
-        lines.append(
-            f"seed engine:  {n / ref_elapsed:8.1f} evals/s "
-            f"({ref_elapsed:.3f}s) -> speedup {ref_elapsed / elapsed:.2f}x"
-        )
-    if args.budget:
-        model = CostModel(
-            soc, args.width, CostWeights.balanced(),
-            AreaModel(soc.analog_cores),
-            evaluator=ScheduleEvaluator(soc, args.width, **pack_kwargs),
-        )
-        started = _time.perf_counter()
-        outcome = optimize(
-            soc, strategy="anneal", max_evaluations=args.budget, seed=0,
-            model=model,
-        )
-        search_elapsed = _time.perf_counter() - started
-        model.evaluator.publish_obs()
-        lines.append(
-            f"gated anneal: {outcome.n_evaluated} evaluations "
-            f"({outcome.n_packs} packs, {outcome.n_gated} gated = "
-            f"{100.0 * outcome.n_gated / outcome.n_evaluated:.1f}% "
-            f"skipped) in {search_elapsed:.3f}s -> best "
-            f"{outcome.best_cost:.2f}"
-        )
-    if args.workers > 1:
-        from .search import default_lanes, portfolio_search
-
-        lanes = default_lanes(max(4, args.workers))
-        scale_budget = args.budget or 400
-        counts = [1]
-        step = 2
-        while step < args.workers:
-            counts.append(step)
-            step *= 2
-        counts.append(args.workers)
-        counts = sorted(set(counts))
-        lines.append(
-            f"portfolio scaling ({len(lanes)} lanes, global budget "
-            f"{scale_budget}, wall-clock includes pool spawn and "
-            f"worker warm-up):"
-        )
-        base_s = None
-        for count in counts:
-            try:
-                portfolio = portfolio_search(
-                    soc, width=args.width, lanes=lanes, workers=count,
-                    budget=scale_budget, **pack_kwargs,
-                )
-            except ValueError as exc:
-                # e.g. a --budget too small to feed every lane
-                raise _CliError(exc.args[0] if exc.args else exc) \
-                    from None
-            if base_s is None:
-                base_s = portfolio.elapsed_s
-            lines.append(
-                f"  {count} worker(s) [{portfolio.mode:6s}]: "
-                f"{portfolio.n_evaluated} evals in "
-                f"{portfolio.elapsed_s:.2f}s "
-                f"({portfolio.n_evaluated / portfolio.elapsed_s:.1f}/s, "
-                f"{base_s / portfolio.elapsed_s:.2f}x vs 1 worker, "
-                f"best {portfolio.best_cost:.2f})"
-            )
-    return "\n".join(lines)
+    return "\n".join(
+        [header, outcome.summary(), *_write_trace(args.trace, records)]
+    )
 
 
 def _run_sweep(args: argparse.Namespace) -> str:
@@ -1382,7 +1172,7 @@ def _run_sweep(args: argparse.Namespace) -> str:
                 raise _CliError(f"{flag} requires --strategy")
     pack_knobs = {}
     if args.pack_effort is not None:
-        from .experiments.common import PACK_EFFORT
+        from .tam.packing import PACK_EFFORT
 
         # resolve the tier onto the explicit SweepJob pack knobs so the
         # cache key and JSONL records carry the actual configuration
@@ -1920,10 +1710,21 @@ def _run_command(command: str, args: argparse.Namespace) -> str:
         return _run_generate(args)
     if command == "optimize":
         return _run_optimize(args)
-    if command == "profile":
-        return _run_profile(args)
     if command == "sweep":
         return _run_sweep(args)
+    # the paper's table/figure drivers (and scipy.signal behind fig5)
+    # load only for the commands that use them
+    from .experiments import (
+        ExperimentContext,
+        generate_report,
+        run_fig4,
+        run_fig5,
+        run_table1,
+        run_table2,
+        run_table3,
+        run_table4,
+    )
+
     try:
         context = ExperimentContext(
             effort=args.effort, workload=args.workload, seed=args.seed
@@ -1946,8 +1747,6 @@ def _run_command(command: str, args: argparse.Namespace) -> str:
         return run_fig5().render(plots=not args.no_plots)
     if command == "report":
         from pathlib import Path
-
-        from .experiments import generate_report
 
         text = generate_report(context, include_slow=not args.fast)
         Path(args.out).write_text(text)

@@ -25,25 +25,11 @@ from ..core.sharing import (
     symmetry_reduce,
 )
 from ..soc.model import Soc
+# re-exported: the packer effort presets live with the packer
+from ..tam.packing import PACK_EFFORT
 from ..workloads import build as build_workload
 
 __all__ = ["ExperimentContext", "PACK_EFFORT"]
-
-#: Packer effort presets: kwargs forwarded to :func:`repro.tam.packing.pack`.
-#: ``full``/``medium``/``quick`` are the experiment-driver tiers;
-#: ``fast``/``paper``/``thorough`` are the sweep/optimize ``--pack-effort``
-#: tiers trading schedule quality for evaluation throughput (``paper``
-#: is the seed packer's own configuration).
-PACK_EFFORT = {
-    "full": {"shuffles": 8, "improvement_passes": 3},
-    "medium": {"shuffles": 4, "improvement_passes": 2},
-    "quick": {"shuffles": 0, "improvement_passes": 1},
-    "fast": {"shuffles": 0, "improvement_passes": 0},
-    "thorough": {"shuffles": 16, "improvement_passes": 6},
-}
-# 'paper' is the seed packer's own configuration, which is exactly
-# 'full' — one shared dict so the two can never drift apart
-PACK_EFFORT["paper"] = PACK_EFFORT["full"]
 
 
 @dataclass

@@ -20,8 +20,8 @@ four strategies over a workload grid leaves a complete
 best-cost-vs-evaluations record behind even on warm cache hits.
 :func:`search_job` runs a search job down the same job → SOC → model
 path but returns the whole search outcome and takes a checkpoint; it
-is what ``repro serve`` runs for ``optimize`` jobs, and it reads no
-cache.
+is what ``repro serve`` and ``repro optimize`` run for ``optimize``
+jobs, and it reads no cache.
 
 Paper-flow jobs that differ only in ``wt``, ``delta`` or
 ``exhaustive`` pack the same schedules, so :func:`run_sweep` runs them
@@ -79,7 +79,8 @@ from .cache import DiskCache, MemoCache, content_key
 from .jobs import JobResult, SweepJob
 
 __all__ = [
-    "SweepResult", "run_sweep", "evaluate_job", "search_job", "trace_path",
+    "SweepResult", "run_sweep", "evaluate_job", "job_model", "job_soc",
+    "search_job", "trace_path",
 ]
 
 #: Bump to invalidate every cached entry after a semantic change to the
@@ -171,12 +172,17 @@ def _write_trace(trace_dir: str, job: SweepJob,
     write_jsonl(records, trace_path(trace_dir, job))
 
 
-def _job_model(
+def job_soc(job: SweepJob) -> Soc:
+    """The job's SOC, memoized per process (see :func:`_build_soc`)."""
+    return _build_soc(job.workload, job.seed, job.scenario, job.power_budget)
+
+
+def job_model(
     job: SweepJob,
-    soc: Soc,
     pack_memo: dict[Partition, Schedule] | None = None,
 ) -> CostModel:
     """The job's cost model, its evaluator reading *pack_memo*."""
+    soc = job_soc(job)
     evaluator = ScheduleEvaluator(
         soc, job.width, memo=pack_memo, **job.pack_kwargs
     )
@@ -188,14 +194,15 @@ def _job_model(
 
 def _search(
     job: SweepJob,
-    soc: Soc,
     model: CostModel,
     checkpoint: SearchCheckpoint | None = None,
+    max_seconds: float | None = None,
 ) -> tuple[SearchOutcome, list[dict]]:
     """Run the job's anytime strategy; returns (outcome, trace records)."""
     outcome = optimize(
-        soc, strategy=job.strategy, max_evaluations=job.budget,
-        seed=job.search_seed, model=model, checkpoint=checkpoint,
+        model.soc, strategy=job.strategy, max_evaluations=job.budget,
+        max_seconds=max_seconds, seed=job.search_seed, model=model,
+        checkpoint=checkpoint,
     )
     return outcome, outcome.trace_records(
         workload=job.workload, width=job.width, wt=job.wt,
@@ -207,19 +214,28 @@ def search_job(
     job: SweepJob,
     trace_dir: str | None = None,
     checkpoint: SearchCheckpoint | None = None,
+    max_seconds: float | None = None,
+    pack_memo: dict[Partition, Schedule] | None = None,
 ) -> SearchOutcome:
     """Run one strategy job's search (in the current process).
 
-    The served ``optimize`` unit of work: unlike :func:`evaluate_job`
-    it returns the whole :class:`~repro.search.SearchOutcome` (gated
-    count, how the search ended, trace) and resumes from — and keeps
-    snapshotting to — *checkpoint*.  It never answers from the job
-    result cache, so it takes no cache directory; with *trace_dir* the
-    anytime trace is written to ``trace_path(trace_dir, job)``.
+    The ``optimize`` unit of work, served and on the command line:
+    unlike :func:`evaluate_job` it returns the whole
+    :class:`~repro.search.SearchOutcome` (gated count, how the search
+    ended, trace) and resumes from — and keeps snapshotting to —
+    *checkpoint*.  It never answers from the job result cache, so it
+    takes no cache directory; with *trace_dir* the anytime trace is
+    written to ``trace_path(trace_dir, job)``.
+
+    *max_seconds* adds a wall-clock budget.  It is a call argument,
+    never a job field: a wall-clock stop is not reproducible, so it
+    stays out of job keys and checkpoint fingerprints.  *pack_memo* is
+    as in :func:`evaluate_job`: jobs that pack one schedule space (the
+    same SOC, width and packer knobs) may share one, and each search
+    still sees exactly the costs it would see alone.
     """
-    soc = _build_soc(job.workload, job.seed, job.scenario, job.power_budget)
-    model = _job_model(job, soc)
-    outcome, trace = _search(job, soc, model, checkpoint)
+    model = job_model(job, pack_memo)
+    outcome, trace = _search(job, model, checkpoint, max_seconds)
     if trace_dir is not None:
         _write_trace(trace_dir, job, trace)
     _publish_job_obs(None, evaluator=model.evaluator, job=job)
@@ -255,7 +271,7 @@ def evaluate_job(
     """
     started = time.perf_counter()
     cache = MemoCache(DiskCache(cache_dir)) if cache_dir else None
-    soc = _build_soc(job.workload, job.seed, job.scenario, job.power_budget)
+    soc = job_soc(job)
 
     job_key = None
     if cache is not None:
@@ -276,11 +292,11 @@ def evaluate_job(
                 cache_stats=cache.stats(),
             )
 
-    model = _job_model(job, soc, pack_memo)
+    model = job_model(job, pack_memo)
     evaluator = model.evaluator
     trace: list[dict] = []
     if job.strategy:
-        search, trace = _search(job, soc, model)
+        search, trace = _search(job, model)
         outcome = search.to_result()
     else:
         if soc.n_analog > MAX_ENUMERABLE_ANALOG:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass, field
 
-from ..experiments.common import PACK_EFFORT
+from ..tam.packing import PACK_EFFORT
 
 __all__ = ["SweepJob", "JobResult", "expand_grid"]
 
@@ -29,7 +29,7 @@ class SweepJob:
     :param exhaustive: evaluate every combination instead of the
         heuristic.
     :param effort: rectangle-packer effort preset (see
-        :data:`repro.experiments.common.PACK_EFFORT`).
+        :data:`repro.tam.packing.PACK_EFFORT`).
     :param shuffles: explicit packer shuffle count, overriding the
         *effort* preset (``None`` keeps the preset's value).  The
         ``--pack-effort`` CLI tiers resolve to these knobs so stress

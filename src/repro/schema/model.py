@@ -338,7 +338,7 @@ def validate(doc: ScenarioDoc) -> tuple:
                 "optimizer.search_seed",
                 f"search_seed must be >= 0, got {profile.search_seed}",
             )
-        from ..experiments.common import PACK_EFFORT
+        from ..tam.packing import PACK_EFFORT
 
         if profile.effort not in PACK_EFFORT:
             err(

@@ -262,14 +262,20 @@ class _JsonReader:
         raise self.fail("unterminated string literal")
 
     def _read_number(self):
-        start = self.i
+        start, at = self.i, (self.line, self.col)
         while self.i < self.n and self.text[self.i] in "+-0123456789.eE":
             self._advance(1)
         raw = self.text[start:self.i]
         try:
             return json.loads(raw)
         except json.JSONDecodeError as exc:
+            self.line, self.col = at
             raise self.fail(f"bad number literal {raw!r}") from exc
+        except ValueError as exc:
+            # an integer past the interpreter's int-string conversion
+            # limit (sys.get_int_max_str_digits)
+            self.line, self.col = at
+            raise self.fail(f"number literal too long: {exc}") from exc
 
 
 def _unique_pairs(pairs: list) -> dict:
@@ -351,6 +357,21 @@ def _read_yaml(text: str, source: str):
     constructor = yaml.constructor.SafeConstructor()
     pos: dict[tuple, tuple[int, int]] = {}
 
+    def scalar(node, path: tuple):
+        try:
+            return constructor.construct_object(node, deep=True)
+        except ValueError as exc:
+            # e.g. an integer past the interpreter's int-string
+            # conversion limit
+            raise ScenarioError([
+                Diagnostic(
+                    path=_render_path(path),
+                    message=f"unreadable value: {exc}",
+                    line=node.start_mark.line + 1,
+                    column=node.start_mark.column + 1, source=source,
+                )
+            ]) from None
+
     def walk(node, path: tuple):
         pos.setdefault(
             path, (node.start_mark.line + 1, node.start_mark.column + 1)
@@ -366,7 +387,7 @@ def _read_yaml(text: str, source: str):
         if isinstance(node, yaml.MappingNode):
             record = {}
             for key_node, value_node in node.value:
-                key = constructor.construct_object(key_node, deep=True)
+                key = scalar(key_node, path)
                 if not isinstance(key, str):
                     raise ScenarioError([
                         Diagnostic(
@@ -399,7 +420,7 @@ def _read_yaml(text: str, source: str):
                 walk(item, path + (index,))
                 for index, item in enumerate(node.value)
             ]
-        return constructor.construct_object(node, deep=True)
+        return scalar(node, path)
 
     return walk(root, ()), pos
 

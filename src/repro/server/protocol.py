@@ -161,6 +161,20 @@ class JobSpec:
             "params": params,
         })
 
+    def checkpoint_fingerprint(self, **extra) -> str:
+        """The fingerprint an optimize checkpoint of this spec carries.
+
+        ``repro serve`` and ``repro optimize`` both snapshot under it,
+        so either one resumes the other's checkpoint of the same spec;
+        *extra* joins the payload (a portfolio adds its lanes).
+        """
+        from ..runner.engine import CACHE_VERSION
+        from ..search.checkpoint import run_fingerprint
+
+        return run_fingerprint(
+            {"server-optimize": self.params, "v": CACHE_VERSION, **extra}
+        )
+
     def to_sweep_job(self) -> SweepJob:
         """The :class:`SweepJob` this spec runs (either kind)."""
         return SweepJob(**self.params)

@@ -52,7 +52,7 @@ from ..runner.engine import (
     search_job,
     trace_path,
 )
-from ..search.checkpoint import SearchCheckpoint, run_fingerprint
+from ..search.checkpoint import SearchCheckpoint
 from ..supervise import PoolBroken
 from .journal import JobJournal, _atomic_write_json
 from .protocol import (
@@ -388,9 +388,7 @@ class JobQueue:
             checkpoint = SearchCheckpoint(
                 self.root / CHECKPOINTS_DIR / f"{record.job_id}.ckpt",
                 every=self.checkpoint_every,
-                fingerprint=run_fingerprint({
-                    "server-optimize": spec.params, "v": CACHE_VERSION,
-                }),
+                fingerprint=spec.checkpoint_fingerprint(),
             )
             task = (search_job, (job, str(job_dir), checkpoint))
         value = None

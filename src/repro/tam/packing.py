@@ -63,12 +63,29 @@ __all__ = [
     "PackContext",
     "PackStats",
     "InfeasibleError",
+    "PACK_EFFORT",
     "PRIORITY_RULES",
     "DEFAULT_RULES",
 ]
 
 #: Environment variable enabling per-candidate validation (CI paranoia).
 VALIDATE_ALL_ENV = "REPRO_VALIDATE_ALL"
+
+#: Packer effort presets: kwargs forwarded to :func:`pack`.
+#: ``full``/``medium``/``quick`` are the experiment-driver tiers;
+#: ``fast``/``paper``/``thorough`` are the sweep/optimize ``--pack-effort``
+#: tiers trading schedule quality for evaluation throughput (``paper``
+#: is the seed packer's own configuration).
+PACK_EFFORT = {
+    "full": {"shuffles": 8, "improvement_passes": 3},
+    "medium": {"shuffles": 4, "improvement_passes": 2},
+    "quick": {"shuffles": 0, "improvement_passes": 1},
+    "fast": {"shuffles": 0, "improvement_passes": 0},
+    "thorough": {"shuffles": 16, "improvement_passes": 6},
+}
+# 'paper' is the seed packer's own configuration, which is exactly
+# 'full' — one shared dict so the two can never drift apart
+PACK_EFFORT["paper"] = PACK_EFFORT["full"]
 
 
 class InfeasibleError(ValueError):

@@ -166,6 +166,20 @@ class TestSearchCommands:
         ) == 2
         assert "unknown strategy" in capsys.readouterr().err
 
+    def test_sweep_rejects_forkserver(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--smoke", "--start-method", "forkserver"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'forkserver'" in capsys.readouterr().err
+
+    def test_sweep_explicit_start_method(self, capsys, tmp_path):
+        out_path = tmp_path / "sweep.jsonl"
+        assert main(
+            ["sweep", "--smoke", "--no-cache", "--jobs", "2",
+             "--start-method", "fork", "--out", str(out_path)]
+        ) == 0
+        assert "Sweep results" in capsys.readouterr().out
+
 
 class TestFaultToleranceCli:
     def test_optimize_checkpoint_roundtrip(self, capsys, tmp_path):
@@ -291,73 +305,6 @@ class TestPowerBudgetFlags:
         ) == 0
         out = capsys.readouterr().out
         assert "peak power" in out
-
-
-class TestProfileCommand:
-    def test_profile_reports_throughput(self, capsys):
-        assert main(
-            ["--workload", "mini", "profile", "--width", "8",
-             "--evals", "4"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "fast engine" in out
-        assert "evals/s" in out
-
-    def test_profile_baseline_and_gate(self, capsys):
-        assert main(
-            ["--workload", "mini", "profile", "--width", "8",
-             "--evals", "4", "--baseline", "--budget", "10"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "speedup" in out
-        assert "gated anneal" in out
-
-    def test_sweep_rejects_forkserver(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["sweep", "--smoke", "--start-method", "forkserver"])
-        assert excinfo.value.code == 2
-        assert "invalid choice: 'forkserver'" in capsys.readouterr().err
-
-    def test_sweep_explicit_start_method(self, capsys, tmp_path):
-        out_path = tmp_path / "sweep.jsonl"
-        assert main(
-            ["sweep", "--smoke", "--no-cache", "--jobs", "2",
-             "--start-method", "fork", "--out", str(out_path)]
-        ) == 0
-        assert "Sweep results" in capsys.readouterr().out
-
-    def test_profile_workers_scaling_report(self, capsys):
-        assert main(
-            ["--workload", "mini", "profile", "--width", "8",
-             "--evals", "2", "--workers", "2"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "portfolio scaling" in out
-        assert "2 worker(s)" in out
-
-    def test_profile_rejects_bad_evals(self, capsys):
-        assert main(
-            ["--workload", "mini", "profile", "--evals", "0"]
-        ) == 2
-        assert "--evals" in capsys.readouterr().err
-
-    def test_profile_needs_analog_cores(self, capsys, monkeypatch):
-        from repro import workloads
-        from repro.workloads.registry import _REGISTRY, Workload
-
-        def all_digital(seed):
-            soc = workloads.build("mini", seed)
-            return type(soc)(
-                name="alldigital", digital_cores=soc.digital_cores,
-                analog_cores=(),
-            )
-
-        monkeypatch.setitem(
-            _REGISTRY, "alldigital",
-            Workload("alldigital", "no analog cores", all_digital),
-        )
-        assert main(["--workload", "alldigital", "profile"]) == 2
-        assert "no analog cores" in capsys.readouterr().err
 
 
 class TestPackEffortFlag:

@@ -112,6 +112,50 @@ class TestNonFinite:
             AnalogTest(**fields)
 
 
+class TestLongIntegers:
+    """An integer literal past the interpreter's int-string conversion
+    limit (4,300 digits by default) is a diagnostic, not a bare
+    ``ValueError``."""
+
+    LITERAL = "1" * 5000
+
+    def test_json(self):
+        tree = json.loads(MINI_DOC)
+        tree["soc"]["digital_cores"][0]["inputs"] = "@"
+        bad = json.dumps(tree, indent=2).replace('"@"', self.LITERAL)
+        line = next(number for number, row in
+                    enumerate(bad.splitlines(), 1) if self.LITERAL in row)
+        with pytest.raises(schema.ScenarioError) as excinfo:
+            schema.parse(bad, fmt="json")
+        assert_anchored(excinfo, "number literal too long")
+        # anchored where the literal starts
+        (diag,) = excinfo.value.diagnostics
+        assert diag.line == line
+        assert bad.splitlines()[line - 1][diag.column - 1:].startswith("1")
+
+    @needs_yaml
+    def test_yaml(self):
+        text = yaml_doc()
+        assert "inputs: 4" in text
+        bad = text.replace("inputs: 4", f"inputs: {self.LITERAL}", 1)
+        with pytest.raises(schema.ScenarioError) as excinfo:
+            schema.parse(bad, fmt="yaml")
+        assert_anchored(excinfo, "unreadable value",
+                        "soc.digital_cores[0].inputs")
+
+    @needs_yaml
+    @pytest.mark.parametrize("edit, path", [
+        ("inputs: 2001-13-45", "soc.digital_cores[0].inputs"),
+        ("2001-13-45: 4", "soc.digital_cores[0]"),
+    ])
+    def test_yaml_scalar_its_constructor_refuses(self, edit, path):
+        # the same walk: an impossible date, as a value and as a key
+        text = yaml_doc()
+        with pytest.raises(schema.ScenarioError) as excinfo:
+            schema.parse(text.replace("inputs: 4", edit, 1), fmt="yaml")
+        assert_anchored(excinfo, "month must be in 1..12", path)
+
+
 class TestDepth:
     @pytest.mark.parametrize("depth", [100, 600, 2000])
     @pytest.mark.parametrize("fmt", ["json", pytest.param(

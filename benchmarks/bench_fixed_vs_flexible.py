@@ -12,7 +12,6 @@ with the TAM width as the analog width disparity bites harder.
 from repro.tam.builder import soc_tasks
 from repro.tam.fixed_partition import fixed_partition_pack
 from repro.tam.packing import pack
-from repro.wrapper.pareto import ParetoCache
 
 WIDTHS = (32, 48, 64)
 
@@ -21,8 +20,7 @@ def test_fixed_vs_flexible(benchmark, context, save_artifact):
     def compare():
         rows = []
         for width in WIDTHS:
-            cache = ParetoCache(width)
-            tasks = soc_tasks(context.soc, width, None, cache)
+            tasks = soc_tasks(context.soc, width)
             flexible = pack(tasks, width, **context.pack_kwargs)
             fixed = fixed_partition_pack(tasks, width)
             rows.append((width, flexible.makespan, fixed))

@@ -18,7 +18,7 @@ from repro.soc.itc02 import dumps, loads
 from repro.tam.builder import soc_tasks
 from repro.tam.packing import pack
 from repro.wrapper.design import design_wrapper
-from repro.wrapper.pareto import ParetoCache, pareto_points
+from repro.wrapper.pareto import pareto_points
 
 
 def test_bench_design_wrapper(benchmark, context):
@@ -38,8 +38,7 @@ def test_bench_pareto_staircase(benchmark, context):
 
 
 def test_bench_pack_w32(benchmark, context):
-    cache = ParetoCache(32)
-    tasks = soc_tasks(context.soc, 32, partition=None, cache=cache)
+    tasks = soc_tasks(context.soc, 32)
 
     def run():
         return pack(tasks, 32, shuffles=2, improvement_passes=1)

@@ -250,7 +250,8 @@ def warm_sweep_study(effort: str, workers: int = SWEEP_WORKERS,
         for _ in range(repeats)
     ])
 
-    # persistent pool reused across the repeats (memos stay warm too)
+    # persistent pool reused across the repeats (its workers' SOC
+    # memos stay warm too; job results are read from disk each time)
     def persistent() -> None:
         with WorkerPool(workers) as pool:
             for _ in range(repeats):
@@ -306,7 +307,7 @@ def supervision_study(effort: str, workers: int = SWEEP_WORKERS,
     def best_of(supervise: bool) -> float:
         best = float("inf")
         with WorkerPool(workers, supervise=supervise) as pool:
-            # warm the workers' memos before the clock starts
+            # warm the workers' SOC memos before the clock starts
             run_sweep(jobs, pool=pool, cache_dir=cache_dir)
             for _ in range(repeats):
                 started = time.perf_counter()

@@ -32,15 +32,13 @@ from repro.tam import (
     render_wire_map,
     soc_tasks,
 )
-from repro.wrapper import ParetoCache
 
 
 def fixed_vs_flexible(context: ExperimentContext) -> None:
     print("=== flexible-width packing vs fixed TAM partitions ===")
     print(f"{'W':>4}  {'flexible':>10}  {'fixed':>10}  {'gap':>6}  buses")
     for width in (32, 48, 64):
-        cache = ParetoCache(width)
-        tasks = soc_tasks(context.soc, width, None, cache)
+        tasks = soc_tasks(context.soc, width)
         flexible = pack(tasks, width, **context.pack_kwargs)
         fixed = fixed_partition_pack(tasks, width)
         gap = 100 * (fixed.makespan - flexible.makespan) / flexible.makespan

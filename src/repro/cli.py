@@ -1848,6 +1848,9 @@ def main(argv: list[str] | None = None) -> int:
                 print()
         else:
             print(_run_command(args.command, args))
+        # a buffered stdout whose reader is gone fails here, not in
+        # the interpreter's exit flush
+        sys.stdout.flush()
     except _CliError as exc:
         # bad user input (unknown workload, invalid width, ...) gets a
         # one-line diagnostic instead of a traceback
@@ -1856,6 +1859,13 @@ def main(argv: list[str] | None = None) -> int:
     except _GateFailure as exc:
         # a failed check (runs regress): report + failure exit code
         print(exc.args[0])
+        return 1
+    except BrokenPipeError:
+        # stdout's reader closed early (``repro ... | head``): point
+        # stdout at devnull so the exit flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     except KeyboardInterrupt:
         # SIGINT/SIGTERM: pools are already torn down and partial

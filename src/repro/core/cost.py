@@ -30,7 +30,6 @@ with two guarantees the optimization layer relies on:
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from .. import obs
@@ -43,7 +42,6 @@ from ..tam.lower_bound import (
 )
 from ..tam.packing import PackContext, PackStats, pack
 from ..tam.schedule import Schedule
-from ..wrapper.pareto import ParetoCache
 from .area import AreaModel
 from .lower_bounds import normalized_lower_bound
 from .sharing import Partition, refines
@@ -100,10 +98,10 @@ class ScheduleEvaluator:
         width, engine, self-test flag and pack kwargs — the sweep
         engine gives one to each bundle of jobs and drops it when the
         bundle ends.  :meth:`_pack` reads it before packing and fills
-        it after, beneath the ``evaluations`` count, the
-        ``on_evaluation`` hook and refinement propagation, so those and
-        every makespan are unchanged; only :attr:`pack_stats` differs
-        (fewer ``packs``, the answers counted as ``memo_hits``).  A
+        it after, beneath the ``evaluations`` count and refinement
+        propagation, so those and every makespan are unchanged; only
+        :attr:`pack_stats` differs (fewer ``packs``, the answers
+        counted as ``memo_hits``).  A
         pack is a pure function of its partition, which is what makes
         the sharing exact.
     :param pack_kwargs: forwarded to :func:`repro.tam.packing.pack`
@@ -135,7 +133,7 @@ class ScheduleEvaluator:
         self._pack_kwargs = pack_kwargs
         self._memo = memo
         self._memo_hits = 0
-        self._digital = digital_tasks(soc, ParetoCache(width))
+        self._digital = digital_tasks(soc, width)
         self._schedules: dict[Partition, Schedule] = {}
         # refinement-propagation index: signature (sorted group sizes;
         # the group count is its length) -> cached partitions covering
@@ -158,13 +156,6 @@ class ScheduleEvaluator:
         #: number of schedule-cache misses, packed or answered by the
         #: memo (the paper's ``n``)
         self.evaluations = 0
-        #: metering hook: called with the updated evaluation count
-        #: after every cache miss (cache hits never fire it).
-        #: Budget meters and progress displays for the anytime
-        #: optimizers (:mod:`repro.search`) attach here; an exception
-        #: raised by the hook propagates to the caller, which is how a
-        #: hard budget can abort an in-flight optimization.
-        self.on_evaluation: Callable[[int], None] | None = None
         # telemetry: resolved once at construction (None = disabled,
         # the whole-subsystem cost is then one branch per schedule()).
         # Configure telemetry before building evaluators.
@@ -349,8 +340,6 @@ class ScheduleEvaluator:
         else:
             result = self._pack(partition)
         self.evaluations += 1
-        if self.on_evaluation is not None:
-            self.on_evaluation(self.evaluations)
         # refinement monotonicity: inherit better coarse schedules, and
         # retro-propagate this result to cached refinements.  NOT valid
         # with self-test tasks: a refinement has *more* wrappers, hence

@@ -11,8 +11,8 @@ Turns the one-SOC, one-width experiment drivers into a grid engine:
 * :mod:`repro.runner.pool` — ``WorkerPool``, the runner's name for
   :class:`repro.supervise.SupervisedPool`, the one worker pool; pass a
   persistent one to :func:`run_sweep` so repeated sweeps keep their
-  workers' SOC, staircase and cache-entry memos warm (staircases are
-  computed in closed form and memoized per process, never on disk).
+  workers' SOC and staircase memos warm (staircases are computed in
+  closed form and memoized per process, never on disk).
 
 The grid has a strategy axis: jobs with a ``strategy`` name run a
 budgeted anytime search (:mod:`repro.search`) instead of the paper
@@ -29,7 +29,7 @@ Quickstart::
     print(sweep.render())
 """
 
-from .cache import DiskCache, MemoCache, content_key
+from .cache import DiskCache, content_key
 from .engine import SweepResult, evaluate_job, run_sweep, trace_path
 from .jobs import JobResult, SweepJob, expand_grid
 from .pool import WorkerPool, default_start_method
@@ -37,7 +37,6 @@ from .pool import WorkerPool, default_start_method
 __all__ = [
     "DiskCache",
     "JobResult",
-    "MemoCache",
     "SweepJob",
     "SweepResult",
     "WorkerPool",

@@ -21,10 +21,9 @@ content-addressed, hence identical), and a reader can never observe
 torn JSON.  A writer that dies mid-write leaves only a ``*.tmp-*``
 file the next :meth:`DiskCache.put` ignores.
 
-:class:`MemoCache` stacks an in-process read-through memo on top:
-persistent pool workers (:mod:`repro.runner.pool`) serve repeated
-lookups — the same job result across warm sweeps — from process
-memory without touching the filesystem again.
+Every lookup reads the disk, so a deleted directory or a corrupt entry
+is seen (and, for a corrupt one, quarantined) by the very next
+:meth:`DiskCache.get`, in every process.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from pathlib import Path
 
 from .. import faults
 
-__all__ = ["DiskCache", "MemoCache", "content_key"]
+__all__ = ["DiskCache", "content_key"]
 
 
 def content_key(payload: object) -> str:
@@ -163,95 +162,3 @@ class DiskCache:
 #: but cache entries must stay as readable as plain-open writes were
 _UMASK = os.umask(0)
 os.umask(_UMASK)
-
-
-#: process-wide memo stores, one per resolved cache root — every
-#: MemoCache over the same directory (the engine builds one per job)
-#: shares a store, so a persistent pool worker keeps its memo warm
-#: across jobs and across whole sweeps
-_MEMO_STORES: dict[str, dict[str, object]] = {}
-
-#: entries kept per store before the oldest are dropped (FIFO); sweep
-#: values are small JSON records, so this bounds a long-lived worker
-#: to a few hundred MB worst-case while still covering any real grid
-MEMO_LIMIT = 4096
-
-
-#: sentinel distinguishing "absent" from a cached ``None``
-_ABSENT = object()
-
-
-def clear_memo() -> None:
-    """Drop every in-process memo store (tests, memory pressure)."""
-    _MEMO_STORES.clear()
-
-
-class MemoCache:
-    """An in-process read-through memo in front of a :class:`DiskCache`.
-
-    ``get`` answers from process memory when it can, falling through
-    to disk (and memoizing what it finds); ``put`` writes through to
-    disk and memoizes.  The memo store is *process-wide per cache
-    root*, not per instance — the engine constructs one ``MemoCache``
-    per job, but a persistent pool worker still serves a warm sweep's
-    job-result lookups from memory.
-
-    Cached values are shared objects: treat them as immutable, as the
-    engine does.  The store is FIFO-bounded by :data:`MEMO_LIMIT`.
-
-    :param disk: the backing disk cache.
-    """
-
-    def __init__(self, disk: DiskCache):
-        self.disk = disk
-        self._store = _MEMO_STORES.setdefault(
-            str(disk.root.resolve()), {}
-        )
-        #: lookups answered from process memory (no disk I/O)
-        self.memo_hits = 0
-        #: memo entries this instance evicted at the FIFO bound
-        self.evictions = 0
-
-    @property
-    def hits(self) -> int:
-        """Disk hits of the backing cache (see :class:`DiskCache`)."""
-        return self.disk.hits
-
-    @property
-    def misses(self) -> int:
-        """Disk misses of the backing cache."""
-        return self.disk.misses
-
-    def get(self, key: str, default: object = None) -> object:
-        """The cached value for *key* — memo first, then disk."""
-        value = self._store.get(key, _ABSENT)
-        if value is not _ABSENT:
-            self.memo_hits += 1
-            return value
-        value = self.disk.get(key, _ABSENT)
-        if value is _ABSENT:
-            return default
-        self._memoize(key, value)
-        return value
-
-    def put(self, key: str, value: object) -> None:
-        """Write *value* through to disk and memoize it."""
-        self.disk.put(key, value)
-        self._memoize(key, value)
-
-    def _memoize(self, key: str, value: object) -> None:
-        while len(self._store) >= MEMO_LIMIT:
-            del self._store[next(iter(self._store))]
-            self.evictions += 1
-        self._store[key] = value
-
-    def stats(self) -> dict[str, int]:
-        """Combined memo + backing-disk counters."""
-        return {
-            "memo_hits": self.memo_hits,
-            "evictions": self.evictions,
-            **self.disk.stats(),
-        }
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._store or key in self.disk

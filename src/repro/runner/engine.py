@@ -35,13 +35,12 @@ complete record.  The aggregate
 :class:`SweepResult` renders a summary table via
 :mod:`repro.reporting`.
 
-Process warmth: SOC construction, digital Pareto staircases (computed
-in closed form, never cached on disk) and disk-cache entries are
-memoized per process (:func:`_build_soc`,
-:func:`~repro.wrapper.pareto.pareto_points`,
-:class:`~repro.runner.cache.MemoCache`), so the hot state survives
-from job to job — and, with a persistent pool passed to
-:func:`run_sweep`, from sweep to sweep.  ``workers=1``
+Process warmth: SOC construction and digital Pareto staircases
+(computed in closed form, never cached on disk) are memoized per
+process (:func:`_build_soc`, :func:`~repro.wrapper.pareto.pareto_points`),
+so the hot state survives from job to job — and, with a persistent
+pool passed to :func:`run_sweep`, from sweep to sweep.  Job results
+are read from the disk cache on every lookup.  ``workers=1``
 never builds a pool: the whole sweep runs in-process, which is both
 the debuggable path and the fast one for smoke-sized grids.
 """
@@ -75,7 +74,7 @@ from ..tam.packing import PackStats
 from ..tam.schedule import Schedule
 from ..soc import itc02
 from ..soc.model import Soc
-from .cache import DiskCache, MemoCache, content_key
+from .cache import DiskCache, content_key
 from .jobs import JobResult, SweepJob
 
 __all__ = [
@@ -259,10 +258,6 @@ def evaluate_job(
     ``trace_path(trace_dir, job)`` — also on cache hits, so a warm
     sweep still leaves the full trace set on disk.
 
-    Caching is read-through-memoized per process: repeated lookups of
-    the same job entry (across sweeps on a persistent pool) skip the
-    filesystem entirely.
-
     *pack_memo* is the pack memo of the job's bundle (see
     :func:`run_sweep`): a dict its evaluator reads before packing a
     partition and fills after.  Only jobs that share a schedule space —
@@ -270,7 +265,7 @@ def evaluate_job(
     share one; it changes no result field but ``pack_stats``.
     """
     started = time.perf_counter()
-    cache = MemoCache(DiskCache(cache_dir)) if cache_dir else None
+    cache = DiskCache(cache_dir) if cache_dir else None
     soc = job_soc(job)
 
     job_key = None
@@ -351,7 +346,7 @@ def evaluate_job(
 
 
 def _publish_job_obs(
-    cache: MemoCache | None,
+    cache: DiskCache | None,
     evaluator: ScheduleEvaluator | None = None,
     hit: bool = False,
     job: SweepJob | None = None,
@@ -359,7 +354,7 @@ def _publish_job_obs(
     """Fold one finished job's counters into the telemetry registry
     and spool them (no-op when telemetry is disabled).
 
-    The per-job ``MemoCache`` starts its counters at zero, so its
+    The per-job ``DiskCache`` starts its counters at zero, so its
     totals are exact per-job deltas and can be added directly; the
     evaluator publishes its own deltas (see
     :meth:`~repro.core.cost.ScheduleEvaluator.publish_obs`).  Flushing
@@ -572,16 +567,12 @@ class SweepResult:
         )
         if disk_hits or disk_misses:
             ratio = 100.0 * disk_hits / (disk_hits + disk_misses)
-            memo_hits = sum(
-                r.cache_stats.get("memo_hits", 0) for r in self.results
-            )
             puts = sum(
                 r.cache_stats.get("puts", 0) for r in self.results
             )
             lines.append(
                 f"disk cache: {disk_hits} hits / {disk_misses} misses "
-                f"({ratio:.0f}% hit), {puts} puts, "
-                f"{memo_hits} memo hits"
+                f"({ratio:.0f}% hit), {puts} puts"
             )
         pack_totals = self.pack_stats()
         if pack_totals.packs or pack_totals.memo_hits:
@@ -686,8 +677,8 @@ def run_sweep(
         ``workers=1``.
     :param pool: a persistent :class:`~repro.supervise.SupervisedPool`
         (``repro.runner.WorkerPool``) to reuse — repeated sweeps then
-        keep their workers (and the workers' SOC/staircase/disk-entry
-        memos) warm.  Overrides *workers*; the pool stays open for the
+        keep their workers (and the workers' SOC and staircase memos)
+        warm.  Overrides *workers*; the pool stays open for the
         caller to close.
     :param timeout_s: per-job wall timeout on the pool path: a
         bundle's task gets *timeout_s* times its job count, and a

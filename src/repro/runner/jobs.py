@@ -180,8 +180,8 @@ class JobResult:
     #: aggregated PackStats counters of the job's evaluator (empty on
     #: cache hits and for pre-telemetry cached records)
     pack_stats: dict = field(default_factory=dict)
-    #: cache-effectiveness counters (disk hits/misses/puts, memo
-    #: hits/evictions) observed while this job ran
+    #: disk-cache counters (hits, misses, puts, corrupt) observed
+    #: while this job ran
     cache_stats: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:

@@ -5,7 +5,8 @@ and the scheduler:
 
 * each digital core becomes one flexible task whose operating points are
   its Pareto staircase (``Design_wrapper``'s test time at every useful
-  width, in closed form);
+  width, in closed form, memoized per process by
+  :func:`~repro.wrapper.pareto.pareto_points`);
 * each analog *test* becomes one rigid task (fixed TAM width and length,
   Table 2), labelled with its wrapper's serialization group.
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from ..soc.model import AnalogCore, Soc
-from ..wrapper.pareto import ParetoCache
+from ..wrapper.pareto import pareto_points
 from .model import TamTask, WidthOption
 
 __all__ = ["analog_tasks", "digital_tasks", "soc_tasks", "group_of_core"]
@@ -113,15 +114,14 @@ def analog_tasks(
     return tasks
 
 
-def digital_tasks(soc: Soc, cache: ParetoCache) -> list[TamTask]:
+def digital_tasks(soc: Soc, width: int) -> list[TamTask]:
     """Flexible tasks for every digital core of *soc*.
 
-    :param cache: Pareto staircases at the SOC TAM width; shared across
-        scheduler invocations for speed.
+    :param width: SOC-level TAM width (bounds the staircases).
     """
     tasks: list[TamTask] = []
     for core in soc.digital_cores:
-        points = cache.points(core)
+        points = pareto_points(core, width)
         # flat per-test power rating: every operating point of a core
         # draws the same power (scan activity, not TAM width, dominates)
         options = tuple(
@@ -136,7 +136,6 @@ def soc_tasks(
     soc: Soc,
     width: int,
     partition: Sequence[Sequence[str]] | None = None,
-    cache: ParetoCache | None = None,
     include_self_test: bool = False,
 ) -> list[TamTask]:
     """All tasks of *soc* for a width-``width`` TAM under *partition*.
@@ -145,18 +144,9 @@ def soc_tasks(
     :param width: SOC-level TAM width (bounds the digital staircases).
     :param partition: analog wrapper-sharing groups, or ``None`` for
         one private wrapper per analog core.
-    :param cache: optional pre-built :class:`ParetoCache`; one is
-        created on the fly when omitted.
     :param include_self_test: add converter-BIST tasks per wrapper (see
         :func:`analog_tasks`).
     """
-    if cache is None:
-        cache = ParetoCache(width)
-    if cache.max_width < width:
-        raise ValueError(
-            f"ParetoCache was built for width {cache.max_width}, "
-            f"need {width}"
-        )
-    return digital_tasks(soc, cache) + analog_tasks(
+    return digital_tasks(soc, width) + analog_tasks(
         soc.analog_cores, partition, include_self_test=include_self_test
     )

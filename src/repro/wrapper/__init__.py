@@ -8,10 +8,9 @@ from .design import (
     scan_lengths,
     test_time,
 )
-from .pareto import ParetoCache, ParetoPoint, pareto_points
+from .pareto import ParetoPoint, pareto_points
 
 __all__ = [
-    "ParetoCache",
     "ParetoPoint",
     "WrapperChain",
     "WrapperDesign",

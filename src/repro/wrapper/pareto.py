@@ -6,10 +6,10 @@ when it lets ``Design_wrapper`` shorten the longest wrapper chain.  The
 rectangle-packing TAM optimizer therefore only ever needs the Pareto
 staircase — the widths at which test time strictly decreases.
 
-:func:`pareto_points` computes the staircase once per core from the
-closed-form test time of :mod:`repro.wrapper.design` (no wrapper is
-designed); repeated scheduling runs share it through
-:class:`ParetoCache`.
+:func:`pareto_points` computes the staircase from the closed-form test
+time of :mod:`repro.wrapper.design` (no wrapper is designed), once per
+(core, useful width range) per process: every scheduling run — each
+sharing combination, each evaluator, each job — shares that memo.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import lru_cache
 from ..soc.model import DigitalCore
 from .design import _test_time
 
-__all__ = ["ParetoPoint", "pareto_points", "ParetoCache"]
+__all__ = ["ParetoPoint", "pareto_points"]
 
 
 @dataclass(frozen=True)
@@ -67,49 +67,3 @@ def _pareto_points(core: DigitalCore, limit: int) -> tuple[ParetoPoint, ...]:
             points.append(ParetoPoint(width=width, time=t))
             best = t
     return tuple(points)
-
-
-class ParetoCache:
-    """Memoized Pareto staircases for the cores of one SOC.
-
-    The TAM optimizer is invoked once per sharing combination per TAM
-    width (26 x 5 runs for Table 4); the digital staircases do not
-    change between runs, so they are computed once here.
-
-    Entries are keyed by the *core value* (a frozen dataclass, hence
-    hashable by content), never by name: a cache shared across SOCs
-    can therefore never serve a stale staircase for a same-named core
-    with different geometry.
-    """
-
-    def __init__(self, max_width: int):
-        if max_width < 1:
-            raise ValueError(f"max_width must be >= 1, got {max_width}")
-        self.max_width = max_width
-        self._cache: dict[DigitalCore, tuple[ParetoPoint, ...]] = {}
-
-    def points(self, core: DigitalCore) -> tuple[ParetoPoint, ...]:
-        """Pareto staircase for *core*, computed on first use."""
-        cached = self._cache.get(core)
-        if cached is None:
-            cached = pareto_points(core, self.max_width)
-            self._cache[core] = cached
-        return cached
-
-    def best_time(self, core: DigitalCore, width: int) -> int:
-        """Shortest test time of *core* using at most *width* wires."""
-        candidates = [p for p in self.points(core) if p.width <= width]
-        if not candidates:
-            raise ValueError(
-                f"no feasible wrapper for core {core.name!r} at width {width}"
-            )
-        return candidates[-1].time
-
-    def best_width(self, core: DigitalCore, width: int) -> int:
-        """Width of the fastest operating point within *width* wires."""
-        candidates = [p for p in self.points(core) if p.width <= width]
-        if not candidates:
-            raise ValueError(
-                f"no feasible wrapper for core {core.name!r} at width {width}"
-            )
-        return candidates[-1].width

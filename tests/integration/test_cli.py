@@ -1,7 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -53,6 +59,30 @@ class TestMain:
         out = capsys.readouterr().out
         assert "wrapper sharing" in out
         assert "makespan" in out
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_closed_stdout_exits_without_traceback(self, unbuffered):
+        """``repro ... | head`` closing the pipe early exits 1 quietly,
+        whether stdout is written through or flushed at exit."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {key: value for key, value in os.environ.items()
+               if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = src
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "workloads"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                text=True, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in done.stderr, done.stderr
+        assert "BrokenPipeError" not in done.stderr, done.stderr
+        assert done.returncode == 1
 
 
 class TestSearchCommands:

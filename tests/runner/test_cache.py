@@ -1,11 +1,10 @@
-"""Tests for the content-hash keyed disk cache and its memo layer."""
+"""Tests for the content-hash keyed disk cache."""
 
 import json
 
 import pytest
 
-from repro.runner import DiskCache, MemoCache, content_key
-from repro.runner.cache import clear_memo
+from repro.runner import DiskCache, content_key
 
 
 class TestContentKey:
@@ -103,58 +102,3 @@ class TestDiskCache:
             thread.join()
         raw = cache._path(key).read_text()
         assert json.loads(raw) == value
-
-
-class TestMemoCache:
-    @pytest.fixture(autouse=True)
-    def _fresh_memo(self):
-        clear_memo()
-        yield
-        clear_memo()
-
-    def test_read_through_and_write_through(self, tmp_path):
-        memo = MemoCache(DiskCache(tmp_path / "c"))
-        key = content_key("k")
-        assert memo.get(key) is None
-        memo.put(key, [1, 2])
-        assert memo.get(key) == [1, 2]
-        assert memo.memo_hits == 1
-        # the write really reached the disk
-        assert DiskCache(tmp_path / "c").get(key) == [1, 2]
-
-    def test_memo_survives_new_instances_same_root(self, tmp_path):
-        first = MemoCache(DiskCache(tmp_path / "c"))
-        key = content_key("shared")
-        first.put(key, {"a": 1})
-        second = MemoCache(DiskCache(tmp_path / "c"))
-        # remove the disk entry: only the process memo can answer now
-        first.disk._path(key).unlink()
-        assert second.get(key) == {"a": 1}
-        assert second.memo_hits == 1
-        assert second.disk.misses == 0
-
-    def test_disk_fallback_memoizes(self, tmp_path):
-        DiskCache(tmp_path / "c").put(content_key("d"), 7)
-        memo = MemoCache(DiskCache(tmp_path / "c"))
-        assert memo.get(content_key("d")) == 7  # from disk
-        assert memo.memo_hits == 0
-        assert memo.get(content_key("d")) == 7  # from memo now
-        assert memo.memo_hits == 1
-        assert memo.hits == 1  # the one disk read
-
-    def test_clear_memo_forces_disk_reads(self, tmp_path):
-        memo = MemoCache(DiskCache(tmp_path / "c"))
-        key = content_key("x")
-        memo.put(key, 1)
-        clear_memo()
-        fresh = MemoCache(DiskCache(tmp_path / "c"))
-        assert fresh.get(key) == 1
-        assert fresh.memo_hits == 0
-        assert fresh.hits == 1
-
-    def test_contains(self, tmp_path):
-        memo = MemoCache(DiskCache(tmp_path / "c"))
-        key = content_key("y")
-        assert key not in memo
-        memo.put(key, 1)
-        assert key in memo

@@ -8,7 +8,9 @@ correctness.  The crash tests run under both ``fork`` and ``spawn``
 so the recovery path is proven on both worker lifecycles.
 """
 
+import json
 import multiprocessing
+import shutil
 import time
 
 import pytest
@@ -129,6 +131,24 @@ class TestCacheCorruption:
         assert not cold.errors and not warm.errors
         assert costs(cold) == costs(reference)
         assert costs(warm) == costs(reference)
+        # the rerun in the same process reads the torn entry from disk:
+        # a miss, quarantined, and rewritten whole
+        (result,) = warm.results
+        assert not result.cache_hit
+        assert result.cache_stats["corrupt"] == 1
+        entries = list((tmp_path / "cache").glob("*/*.json"))
+        assert len(entries) == 1
+        json.loads(entries[0].read_text())
+
+    def test_rerun_after_cache_dir_deleted_recomputes(self, tmp_path):
+        jobs = quick_jobs()
+        cache_dir = tmp_path / "cache"
+        cold = run_sweep(jobs, workers=1, cache_dir=str(cache_dir))
+        shutil.rmtree(cache_dir)
+        rerun = run_sweep(jobs, workers=1, cache_dir=str(cache_dir))
+        assert rerun.cache_hits == 0
+        assert len(DiskCache(cache_dir)) == len(jobs)
+        assert costs(rerun) == costs(cold)
 
 
 class TestResume:

@@ -12,7 +12,6 @@ from repro.runner import (
     expand_grid,
     run_sweep,
 )
-from repro.runner.cache import clear_memo
 
 
 class TestSweepJob:
@@ -86,9 +85,11 @@ class TestEvaluateJob:
         cold = evaluate_job(job, cache_dir)
         warm = evaluate_job(job, cache_dir)
         assert not cold.cache_hit
-        assert cold.cache_stats["puts"] == 1
+        assert cold.cache_stats == {"corrupt": 0, "hits": 0,
+                                    "misses": 1, "puts": 1}
         assert warm.cache_hit
-        assert warm.cache_stats["puts"] == 0
+        assert warm.cache_stats == {"corrupt": 0, "hits": 1,
+                                    "misses": 0, "puts": 0}
         assert warm.makespan == cold.makespan
         assert warm.total_cost == cold.total_cost
 
@@ -102,7 +103,6 @@ class TestEvaluateJob:
             entry = json.loads(path.read_text())
             entry["result"] |= {"staircase_hits": 0, "staircase_misses": 4}
             path.write_text(json.dumps(entry))
-        clear_memo()
         warm = evaluate_job(job, str(cache_dir))
         assert warm.cache_hit
         assert warm.total_cost == cold.total_cost

@@ -8,7 +8,6 @@ from repro.tam.builder import (
     group_of_core,
     soc_tasks,
 )
-from repro.wrapper.pareto import ParetoCache
 
 
 class TestGroupOfCore:
@@ -67,13 +66,11 @@ class TestAnalogTasks:
 
 class TestDigitalTasks:
     def test_one_task_per_core(self, mini_soc):
-        cache = ParetoCache(8)
-        tasks = digital_tasks(mini_soc, cache)
+        tasks = digital_tasks(mini_soc, 8)
         assert len(tasks) == mini_soc.n_digital
 
     def test_options_follow_staircase(self, mini_soc):
-        cache = ParetoCache(8)
-        for task in digital_tasks(mini_soc, cache):
+        for task in digital_tasks(mini_soc, 8):
             widths = [o.width for o in task.options]
             assert widths == sorted(widths)
             assert task.group is None
@@ -84,11 +81,6 @@ class TestSocTasks:
         tasks = soc_tasks(mini_ms_soc, 8)
         analog = sum(len(c.tests) for c in mini_ms_soc.analog_cores)
         assert len(tasks) == mini_ms_soc.n_digital + analog
-
-    def test_cache_width_checked(self, mini_ms_soc):
-        cache = ParetoCache(4)
-        with pytest.raises(ValueError, match="width"):
-            soc_tasks(mini_ms_soc, 8, cache=cache)
 
     def test_partition_applied(self, mini_ms_soc):
         tasks = soc_tasks(mini_ms_soc, 8, partition=[("X", "Y")])

@@ -136,12 +136,10 @@ class TestFixedPartitionPack:
         """Analog width disparity hurts fixed partitions more at wide
         TAMs (Section 4)."""
         from repro.tam.builder import soc_tasks
-        from repro.wrapper import ParetoCache
 
         gaps = []
         for width in (32, 64):
-            cache = ParetoCache(width)
-            tasks = soc_tasks(benchmark_soc, width, None, cache)
+            tasks = soc_tasks(benchmark_soc, width)
             fixed = fixed_partition_pack(tasks, width)
             flex = pack(tasks, width, shuffles=2, improvement_passes=1)
             gaps.append(

@@ -1,4 +1,4 @@
-"""Tests for the Pareto staircase and its cache."""
+"""Tests for the Pareto staircase and its memo."""
 
 import pytest
 from hypothesis import given
@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.soc.model import DigitalCore
 from repro.wrapper.design import test_time as wtest_time
-from repro.wrapper.pareto import ParetoCache, pareto_points
+from repro.wrapper.pareto import pareto_points
 
 
 def core(chains=(100, 80, 60, 40), patterns=30):
@@ -58,45 +58,27 @@ class TestParetoPoints:
             assert feasible, f"no staircase point within width {width}"
             assert min(feasible) <= t
 
-
-class TestParetoCache:
-    def test_caches_identical_results(self):
-        cache = ParetoCache(16)
-        c = core()
-        assert cache.points(c) is cache.points(c)
-
-    def test_best_time_monotone(self):
-        cache = ParetoCache(16)
-        c = core()
-        times = [cache.best_time(c, w) for w in range(1, 17)]
-        assert all(a >= b for a, b in zip(times, times[1:]))
-
-    def test_best_width_within_limit(self):
-        cache = ParetoCache(16)
-        c = core()
-        for w in range(1, 17):
-            assert cache.best_width(c, w) <= w
-
-    def test_rejects_bad_max_width(self):
-        with pytest.raises(ValueError, match="max_width"):
-            ParetoCache(0)
-
     def test_benchmark_staircases(self, digital_soc):
-        cache = ParetoCache(64)
         for c in digital_soc.digital_cores[:6]:
-            points = cache.points(c)
+            points = pareto_points(c, 64)
             assert points[0].width == 1
             assert points[-1].time <= points[0].time
 
+
+class TestParetoMemo:
+    def test_caches_identical_results(self):
+        c = core()
+        assert pareto_points(c, 16) is pareto_points(c, 16)
+
     def test_same_name_different_geometry_never_collides(self):
-        """Entries are keyed by core *value*: a primed (or computed)
-        staircase for one core must never be served for a same-named
-        core with different geometry."""
-        cache = ParetoCache(16)
+        """The memo is keyed by core *value*: a staircase computed for
+        one core must never be served for a same-named core with
+        different geometry."""
         small = core(chains=(20, 10), patterns=5)
         big = core(chains=(400, 300, 200, 100), patterns=200)
         assert small.name == big.name  # the collision scenario
-        small_points = cache.points(small)
-        big_points = cache.points(big)
+        small_points = pareto_points(small, 16)
+        big_points = pareto_points(big, 16)
         assert small_points != big_points
-        assert big_points == pareto_points(big, 16)
+        for c, points in ((small, small_points), (big, big_points)):
+            assert all(p.time == wtest_time(c, p.width) for p in points)
